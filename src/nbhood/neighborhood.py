@@ -1,4 +1,4 @@
-"""Neighborhood enumeration: pruned trie traversal plus a literal oracle.
+"""Neighborhood enumeration and counting over a DP automaton, plus a literal oracle.
 
 Three nested variants of the distance-d neighborhood of a word W:
 
@@ -8,16 +8,20 @@ Three nested variants of the distance-d neighborhood of a word W:
 * super-condensed: members with no proper contiguous subword in the full
   neighborhood
 
-The production enumerators walk the word trie depth first, carrying a
-saturated DP row per node; the brute-force oracle applies the defining
-set differences over all candidate words and exists so the two routes
-can be compared in tests.
+Both production routes run on one automaton whose state is the saturated
+DP row of the word read so far. ``count`` makes a forward pass over the
+distinct states, one word length at a time, carrying how many words reach
+each state; the enumerators walk the word trie depth first with an
+explicit stack, carrying the state per node. For the super-condensed kind
+the state also carries a free-start (Sellers) row, which rejects a word
+as soon as one of its proper subwords comes within d of W. The
+brute-force oracle applies the defining set differences over all
+candidate words and exists so the routes can be compared in tests.
 """
 from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Iterator
 
 from .core import (
     Alphabet,
@@ -43,6 +47,8 @@ BUDGET_ENV_VAR = "NBHOOD_BUDGET"
 def resolve_budget(budget: int | None = None) -> int:
     """Candidate-word budget: explicit argument, else env override, else default."""
     if budget is not None:
+        if budget < 1:
+            raise BudgetError(f"budget must be positive, got {budget}")
         return budget
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
@@ -68,64 +74,99 @@ def in_neighborhood(u: Word, w: Word, d: int) -> bool:
     return _dist(u.text, w.text, limit=d) <= d
 
 
-def _child_row(row: list[int], symbol: str, w: str, cap: int) -> list[int]:
-    # saturated at cap = d + 1; values above d never influence a <= d test
-    out = [min(row[0] + 1, cap)]
-    for j in range(1, len(w) + 1):
-        out.append(
-            min(
-                row[j] + 1,
-                out[j - 1] + 1,
-                row[j - 1] + (symbol != w[j - 1]),
-                cap,
-            )
-        )
-    return out
+def _row_step(
+    row: tuple[int, ...], symbol: str, w: str, cap: int, free_start: bool = False
+) -> tuple[int, ...]:
+    """One letter of the edit-distance DP against the prefixes of w.
 
-
-def _iter_members(w: Word, d: int, alphabet: Alphabet, condensed: bool) -> Iterator[str]:
-    """Trie DFS in symbol-rank order, so yields appear in canonical word order.
-
-    With ``condensed`` set, a subtree is pruned as soon as its root word is
-    a member: every extension then has a member as proper prefix, which is
-    exactly the condensed set difference.
+    ``row[j]`` is min(dist(u, w[:j]), cap) for the word u read so far, and
+    the result is that row for u + symbol. Cells saturate at cap = d + 1,
+    since values above d never influence a <= d test. With ``free_start``
+    column 0 is pinned to 0, so a match may begin after any letter read
+    (Sellers 1980): the row then holds the least distance from w[:j] to a
+    suffix of the word read.
     """
-    wtext = w.text
-    n = len(wtext)
-    cap = d + 1
-    max_depth = n + d
-
-    def visit(prefix: str, row: list[int]) -> Iterator[str]:
-        if row[n] <= d:
-            yield prefix
-            if condensed:
-                return
-        # extensions of prefix can only reach W if some row cell is still <= d
-        if len(prefix) < max_depth and min(row) <= d:
-            for symbol in alphabet.symbols:
-                yield from visit(prefix + symbol, _child_row(row, symbol, wtext, cap))
-
-    yield from visit("", [min(j, cap) for j in range(n + 1)])
+    left = 0 if free_start else min(row[0] + 1, cap)
+    out = [left]
+    # min(diag + mismatch, above + 1, left + 1, cap), spelled out: this loop
+    # is the hot path, and comparisons run about twice as fast as min()
+    for diag, above, c in zip(row, row[1:], w):
+        if c != symbol:
+            diag += 1
+        if above < diag:
+            diag = above + 1
+        if left < diag:
+            diag = left + 1
+        left = diag if diag < cap else cap
+        out.append(left)
+    return tuple(out)
 
 
-def _has_proper_subword_in_neighborhood(u: str, w: str, d: int) -> bool:
-    """Does any proper contiguous subword of u lie within distance d of w?
+_State = tuple[tuple[int, ...], tuple[int, ...] | None]
 
-    One thresholded DP per start position, extended a character at a time;
-    a start is abandoned once every row cell exceeds d, since longer
-    subwords from that start can only be farther from w.
+
+def _automaton(w: str, d: int, symbols: tuple[str, ...], kind: str):
+    """Start state and live-children function of the neighborhood's DP automaton.
+
+    A state is the saturated prefix row of the word read so far; it alone
+    decides the subtree below the word, so equal states can be merged
+    (a lazily built Levenshtein automaton, Schulz & Mihov 2002). For the
+    super-condensed kind the state also carries a free-start row over the
+    start positions >= 1; it is all cap before the first letter, as there
+    is no such start yet. A child is dropped when its prefix row is above d
+    everywhere (no extension comes back within d of w) or, for the
+    super-condensed kind, when its free-start row reaches column |w| within
+    d: some proper subword not starting at letter 0 is then a member, and
+    it stays one in every extension. Proper subwords starting at letter 0
+    are prefixes, and the walk never expands a member for the condensed
+    kinds. Depth needs no cap: past |w| + d every prefix-row cell is above d.
     """
     n = len(w)
     cap = d + 1
-    for i in range(len(u) + 1):
-        row = [min(j, cap) for j in range(n + 1)]
-        for j in range(i, len(u) + 1):
-            if (i, j) != (0, len(u)) and row[n] <= d:
-                return True
-            if j == len(u) or min(row) > d:
-                break
-            row = _child_row(row, u[j], w, cap)
-    return False
+    sellers = kind == KIND_SUPER_CONDENSED
+    start: _State = (
+        tuple(min(j, cap) for j in range(n + 1)),
+        (cap,) * (n + 1) if sellers else None,
+    )
+
+    def children(state: _State) -> list[tuple[str, _State]]:
+        row, free = state
+        out = []
+        for symbol in symbols:
+            child = _row_step(row, symbol, w, cap)
+            if min(child) > d:
+                continue
+            if sellers:
+                free_child = _row_step(free, symbol, w, cap, free_start=True)
+                if free_child[n] <= d:
+                    continue
+                out.append((symbol, (child, free_child)))
+            else:
+                out.append((symbol, (child, None)))
+        return out
+
+    return start, children
+
+
+def _members(w: Word, d: int, alphabet: Alphabet, kind: str) -> list[str]:
+    """Depth-first walk of the word trie in canonical word order.
+
+    An explicit stack keeps long words clear of the recursion limit.
+    Children are pushed in reverse rank order, so the pops visit words in
+    pre-order by symbol rank, which is the canonical order.
+    """
+    start, children = _automaton(w.text, d, alphabet.symbols, kind)
+    n = len(w)
+    out = []
+    stack = [("", start)]
+    while stack:
+        prefix, state = stack.pop()
+        if state[0][n] <= d:
+            out.append(prefix)
+            if kind != KIND_FULL:
+                continue
+        stack.extend((prefix + symbol, child) for symbol, child in reversed(children(state)))
+    return out
 
 
 def _result(
@@ -137,51 +178,53 @@ def _result(
     )
 
 
-def enumerate_full(w: Word, d: int, alphabet: Alphabet) -> NeighborhoodResult:
-    """All words within distance d of w, canonically sorted."""
+def _enumerate(w: Word, d: int, alphabet: Alphabet, kind: str) -> NeighborhoodResult:
     _require_distance(d)
     w = make_word(require_word(w).text, alphabet)
-    return _result(w, d, KIND_FULL, list(_iter_members(w, d, alphabet, False)), alphabet)
+    return _result(w, d, kind, _members(w, d, alphabet, kind), alphabet)
+
+
+def enumerate_full(w: Word, d: int, alphabet: Alphabet) -> NeighborhoodResult:
+    """All words within distance d of w, canonically sorted."""
+    return _enumerate(w, d, alphabet, KIND_FULL)
 
 
 def enumerate_condensed(w: Word, d: int, alphabet: Alphabet) -> NeighborhoodResult:
     """The prefix-minimal members of the full neighborhood (a prefix-free set)."""
-    _require_distance(d)
-    w = make_word(require_word(w).text, alphabet)
-    return _result(w, d, KIND_CONDENSED, list(_iter_members(w, d, alphabet, True)), alphabet)
+    return _enumerate(w, d, alphabet, KIND_CONDENSED)
 
 
 def enumerate_super_condensed(w: Word, d: int, alphabet: Alphabet) -> NeighborhoodResult:
-    """Members of the full neighborhood with no proper contiguous subword in it.
-
-    Filters the condensed set: a proper prefix is a proper subword, so the
-    super-condensed set is contained in the condensed one.
-    """
-    _require_distance(d)
-    w = make_word(require_word(w).text, alphabet)
-    texts = [
-        t
-        for t in _iter_members(w, d, alphabet, True)
-        if not _has_proper_subword_in_neighborhood(t, w.text, d)
-    ]
-    return _result(w, d, KIND_SUPER_CONDENSED, texts, alphabet)
+    """Members of the full neighborhood with no proper contiguous subword in it."""
+    return _enumerate(w, d, alphabet, KIND_SUPER_CONDENSED)
 
 
 def count(w: Word, d: int, alphabet: Alphabet, kind: str) -> int:
-    """Cardinality of the requested neighborhood without keeping the word list."""
+    """Cardinality of the requested neighborhood without keeping the word list.
+
+    A forward pass over the distinct states of the DP automaton, one word
+    length at a time: each level maps a state to the number of words that
+    reach it, so the work grows with the distinct states, not the words.
+    """
     _require_distance(d)
     if kind not in NEIGHBORHOOD_KINDS:
         raise ValidationError(f"unknown neighborhood kind {kind!r}")
     w = make_word(require_word(w).text, alphabet)
-    if kind == KIND_FULL:
-        return sum(1 for _ in _iter_members(w, d, alphabet, False))
-    if kind == KIND_CONDENSED:
-        return sum(1 for _ in _iter_members(w, d, alphabet, True))
-    return sum(
-        1
-        for t in _iter_members(w, d, alphabet, True)
-        if not _has_proper_subword_in_neighborhood(t, w.text, d)
-    )
+    start, children = _automaton(w.text, d, alphabet.symbols, kind)
+    n = len(w)
+    total = 0
+    level = {start: 1}
+    while level:
+        following: dict[_State, int] = {}
+        for state, ways in level.items():
+            if state[0][n] <= d:
+                total += ways
+                if kind != KIND_FULL:
+                    continue
+            for _, child in children(state):
+                following[child] = following.get(child, 0) + ways
+        level = following
+    return total
 
 
 def brute_force_enumerate(

@@ -42,6 +42,7 @@ from .neighborhood import (
     enumerate_condensed,
     enumerate_full,
     enumerate_super_condensed,
+    resolve_budget,
 )
 
 # Frozen reference values for the bound table (panel "a": profile bound,
@@ -389,6 +390,9 @@ _STEPS = (
 def run_verification(config: VerifyConfig | None = None, report=None) -> VerificationSummary:
     """Run all verification steps in order; ``report`` gets one line per step."""
     config = config or VerifyConfig()
+    if config.budget is not None:
+        # a budget below 1 is bad input, not a refusal to report per case
+        resolve_budget(config.budget)
     summary = VerificationSummary()
     start = time.perf_counter()
     for name, step in _STEPS:

@@ -125,6 +125,37 @@ def test_enum_oracle_budget_refusal(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["enum", "--word", "ab", "--dist", "1", "--sigma", "2", "--oracle"],
+        ["extremal", "--length", "2", "--dist", "1", "--sigma", "2"],
+        ["verify", "--max-length", "1", "--max-dist", "0", "--sigma", "2"],
+    ],
+)
+def test_nonpositive_budget_is_a_usage_error(capsys, command, budget):
+    code, out, err = run_cli(capsys, *command, "--budget", budget)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"nbhood: error: budget must be positive, got {budget}\n"
+
+
+def test_enum_handles_words_past_the_recursion_limit(capsys):
+    word = "a" * 1200
+    args = ["enum", "--word", word, "--dist", "1", "--sigma", "1"]
+    expected = {
+        "full": ["a" * 1199, word, "a" * 1201],
+        "condensed": ["a" * 1199],
+        "super-condensed": ["a" * 1199],
+    }
+    for kind, members in expected.items():
+        code, out, _ = run_cli(capsys, *args, "--kind", kind, "--count-only")
+        assert (code, out) == (EXIT_OK, f"{len(members)}\n")
+        code, out, _ = run_cli(capsys, *args, "--kind", kind)
+        assert (code, out.splitlines()) == (EXIT_OK, members)
+
+
 def test_enum_writes_lf_files(tmp_path, capsys):
     target = tmp_path / "members.csv"
     code, out, _ = run_cli(

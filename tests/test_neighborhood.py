@@ -2,7 +2,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbhood import (
@@ -177,6 +177,31 @@ def test_count_agrees_with_enumeration(text, d, kind):
     assert count(w, d, A3, kind) == ENUM_BY_KIND[kind](w, d, A3).count
 
 
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just(A2), st.text(alphabet="ab", max_size=6)),
+        st.tuples(st.just(A3), st.text(alphabet="abc", max_size=4)),
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+@example((A2, "ab"), 2)
+@example((A3, "abc"), 3)
+@example((A2, ""), 0)
+@example((A2, "a"), 3)
+def test_count_matches_the_oracle(query, d):
+    # count walks distinct DP states, not the enumerators' trie, so it gets
+    # its own check against the literal definitions
+    alphabet, text = query
+    w = make_word(text, alphabet)
+    oracle = {kind: brute_force_enumerate(w, d, alphabet, kind) for kind in NEIGHBORHOOD_KINDS}
+    for kind, want in oracle.items():
+        assert count(w, d, alphabet, kind) == want.count
+    if d >= len(text):
+        # the empty word is a member and a subword of every word
+        assert _texts(oracle[KIND_CONDENSED]) == _texts(oracle[KIND_SUPER_CONDENSED]) == [""]
+
+
 def test_negative_distance_rejected():
     w = make_word("a", A2)
     with pytest.raises(RangeError):
@@ -227,6 +252,9 @@ def test_resolve_budget_precedence(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "123")
     assert resolve_budget() == 123
     assert resolve_budget(77) == 77
+    # an explicit budget is checked like the environment's, not waved through
+    with pytest.raises(BudgetError, match="budget must be positive, got 0"):
+        resolve_budget(0)
 
 
 def test_bare_string_query_gets_build_guidance():
