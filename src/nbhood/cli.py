@@ -34,25 +34,12 @@ from .counting import (
 )
 from .distance import leftmost_optimal_alignment, levenshtein, optimal_alignment
 from .extremal import MODE_EXHAUSTIVE, MODE_SAMPLED, scan_extremal
-from .neighborhood import (
-    brute_force_enumerate,
-    count,
-    enumerate_condensed,
-    enumerate_full,
-    enumerate_super_condensed,
-)
+from .neighborhood import ENUMERATORS, brute_force_enumerate, count
 from .verify import VerifyConfig, run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-_ENUM_BY_KIND = {
-    KIND_FULL: enumerate_full,
-    KIND_CONDENSED: enumerate_condensed,
-    KIND_SUPER_CONDENSED: enumerate_super_condensed,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage by default; 2 is reserved
@@ -73,19 +60,15 @@ def _resolve_alphabet(args, fallback_chars: str | None = None) -> Alphabet:
     raise ValidationError("an alphabet is required: pass --sigma or --alphabet")
 
 
-def _open_output(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
-
-
 def _emit(path: str | None, text: str) -> None:
-    stream, owned = _open_output(path)
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
-        stream.write(text)
-    finally:
-        if owned:
-            stream.close()
+        with open(path, "w", encoding="utf-8", newline="\n") as stream:
+            stream.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_dist(args) -> int:
@@ -108,7 +91,7 @@ def _enum_payload(args, alphabet: Alphabet):
     if args.oracle:
         result = brute_force_enumerate(w, args.dist, alphabet, args.kind, budget=args.budget)
     else:
-        result = _ENUM_BY_KIND[args.kind](w, args.dist, alphabet)
+        result = ENUMERATORS[args.kind](w, args.dist, alphabet)
     words = None if args.count_only else [x.text for x in result.words]
     return w, result.count, words
 

@@ -8,6 +8,15 @@ lexicographically smallest sequence of their column indices. Ties beyond
 that order are broken by the column-class sequence (match < mismatch <
 insertion < deletion, compared left to right), which makes the selection
 a total order and the result fully deterministic.
+
+The edit-distance DP is written once, in ``_row_step``: one letter of the
+row against the prefixes of a word, saturated at a cap, optionally with a
+free start (Sellers 1980). The neighborhood automaton steps its prefix and
+free-start rows with it. ``_dist`` folds it over one word with an early
+exit; the prefix table is the list of rows of the same fold, and the suffix
+table is the prefix table of the reversed words, read backwards.
+``_optimal_steps`` is likewise the one statement of which steps keep an
+alignment optimal.
 """
 from __future__ import annotations
 
@@ -28,6 +37,34 @@ DEFAULT_ORACLE_MAX_LEN = 12
 _CLASS_CODE = {MATCH: 0, MISMATCH: 1, INSERTION: 2, DELETION: 3}
 
 
+def _row_step(
+    row: tuple[int, ...], symbol: str, w: str, cap: int, free_start: bool = False
+) -> tuple[int, ...]:
+    """One letter of the edit-distance DP against the prefixes of w.
+
+    ``row[j]`` is min(dist(u, w[:j]), cap) for the word u read so far, and
+    the result is that row for u + symbol. Cells saturate at cap: with
+    cap = d + 1, values above d never influence a <= d test. With
+    ``free_start`` column 0 is pinned to 0, so a match may begin after any
+    letter read (Sellers 1980): the row then holds the least distance from
+    w[:j] to a suffix of the word read.
+    """
+    left = 0 if free_start else min(row[0] + 1, cap)
+    out = [left]
+    # min(diag + mismatch, above + 1, left + 1, cap), spelled out: this loop
+    # is the hot path, and comparisons run about twice as fast as min()
+    for diag, above, c in zip(row, row[1:], w):
+        if c != symbol:
+            diag += 1
+        if above < diag:
+            diag = above + 1
+        if left < diag:
+            diag = left + 1
+        left = diag if diag < cap else cap
+        out.append(left)
+    return tuple(out)
+
+
 def _dist(a: str, b: str, limit: int | None = None) -> int:
     """Edit distance between raw strings.
 
@@ -38,28 +75,16 @@ def _dist(a: str, b: str, limit: int | None = None) -> int:
     """
     if len(a) < len(b):
         a, b = b, a
-    n = len(b)
-    if limit is not None and len(a) - n > limit:
-        return limit + 1
-    prev = list(range(n + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        best = i
-        for j in range(1, n + 1):
-            v = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (ca != b[j - 1]),
-            )
-            if limit is not None and v > limit:
-                v = limit + 1
-            cur.append(v)
-            if v < best:
-                best = v
-        if limit is not None and best > limit:
-            return limit + 1
-        prev = cur
-    return prev[n]
+    cap = len(a) + 1 if limit is None else limit + 1
+    if len(a) - len(b) >= cap:
+        return cap
+    # the first row may run past cap: the step saturates every row it makes
+    row = tuple(range(len(b) + 1))
+    for symbol in a:
+        row = _row_step(row, symbol, b, cap)
+        if min(row) == cap:
+            return cap
+    return row[-1]
 
 
 def levenshtein(u: Word, v: Word) -> int:
@@ -68,38 +93,46 @@ def levenshtein(u: Word, v: Word) -> int:
     return _dist(u.text, v.text)
 
 
-def _prefix_table(a: str, b: str) -> list[list[int]]:
+def _prefix_table(a: str, b: str) -> list[tuple[int, ...]]:
     """dp[i][j] = distance between a[:i] and b[:j]."""
-    dp = [list(range(len(b) + 1))]
-    for i in range(1, len(a) + 1):
-        row = [i]
-        for j in range(1, len(b) + 1):
-            row.append(
-                min(
-                    dp[i - 1][j] + 1,
-                    row[j - 1] + 1,
-                    dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-                )
-            )
-        dp.append(row)
+    cap = len(a) + len(b) + 1  # above every distance in the table
+    dp = [tuple(range(len(b) + 1))]
+    for symbol in a:
+        dp.append(_row_step(dp[-1], symbol, b, cap))
     return dp
 
 
-def _suffix_table(a: str, b: str) -> list[list[int]]:
-    """sfx[i][j] = distance between a[i:] and b[j:]."""
-    m, n = len(a), len(b)
-    sfx = [[0] * (n + 1) for _ in range(m + 1)]
-    for j in range(n + 1):
-        sfx[m][j] = n - j
-    for i in range(m - 1, -1, -1):
-        sfx[i][n] = m - i
-        for j in range(n - 1, -1, -1):
-            sfx[i][j] = min(
-                sfx[i + 1][j] + 1,
-                sfx[i][j + 1] + 1,
-                sfx[i + 1][j + 1] + (a[i] != b[j]),
-            )
-    return sfx
+def _suffix_table(a: str, b: str) -> list[tuple[int, ...]]:
+    """sfx[i][j] = distance between a[i:] and b[j:].
+
+    The prefix table of the reversed strings, read backwards.
+    """
+    return [row[::-1] for row in reversed(_prefix_table(a[::-1], b[::-1]))]
+
+
+def _optimal_steps(a: str, b: str, sfx: list[tuple[int, ...]], i: int, j: int):
+    """The steps from cell (i, j) of an optimal path that stay on one.
+
+    Yields (class code, next cell): the diagonal step (match 0, mismatch
+    1), then the deletion, then the insertion. As (i, j) lies on an optimal
+    path, a step stays on one exactly when its cost plus the distance left
+    after it equals the distance left at (i, j).
+    """
+    rest = sfx[i][j]
+    more_a, more_b = i < len(a), j < len(b)
+    if more_a and more_b:
+        c = int(a[i] != b[j])
+        if c + sfx[i + 1][j + 1] == rest:
+            yield c, (i + 1, j + 1)
+    if more_a and sfx[i + 1][j] + 1 == rest:
+        yield _CLASS_CODE[DELETION], (i + 1, j)
+    if more_b and sfx[i][j + 1] + 1 == rest:
+        yield _CLASS_CODE[INSERTION], (i, j + 1)
+
+
+def _column(a: str, b: str, i: int, j: int, ni: int, nj: int) -> Column:
+    """The alignment column of the step from cell (i, j) to cell (ni, nj)."""
+    return Column(a[i] if ni > i else None, b[j] if nj > j else None)
 
 
 def optimal_alignment(u: Word, v: Word) -> Alignment:
@@ -138,9 +171,7 @@ def enumerate_optimal_alignments(
         )
     a, b = u.text, v.text
     m, n = len(a), len(b)
-    dp = _prefix_table(a, b)
     sfx = _suffix_table(a, b)
-    d = dp[m][n]
 
     out: list[Alignment] = []
     acc: list[Column] = []
@@ -149,19 +180,9 @@ def enumerate_optimal_alignments(
         if i == m and j == n:
             out.append(Alignment(tuple(acc)))
             return
-        if i < m and j < n:
-            c = 0 if a[i] == b[j] else 1
-            if dp[i + 1][j + 1] == dp[i][j] + c and dp[i + 1][j + 1] + sfx[i + 1][j + 1] == d:
-                acc.append(Column(a[i], b[j]))
-                walk(i + 1, j + 1)
-                acc.pop()
-        if i < m and dp[i + 1][j] == dp[i][j] + 1 and dp[i + 1][j] + sfx[i + 1][j] == d:
-            acc.append(Column(a[i], None))
-            walk(i + 1, j)
-            acc.pop()
-        if j < n and dp[i][j + 1] == dp[i][j] + 1 and dp[i][j + 1] + sfx[i][j + 1] == d:
-            acc.append(Column(None, b[j]))
-            walk(i, j + 1)
+        for _, (ni, nj) in _optimal_steps(a, b, sfx, i, j):
+            acc.append(_column(a, b, i, j, ni, nj))
+            walk(ni, nj)
             acc.pop()
 
     walk(0, 0)
@@ -212,23 +233,13 @@ def leftmost_optimal_alignment(top: Word, bottom: Word) -> Alignment:
     kmin[m][n] = 0
     for i in range(m, -1, -1):
         for j in range(n, -1, -1):
-            if (i, j) == (m, n) or dp[i][j] + sfx[i][j] != d:
-                continue
-            best: int | None = None
-            if i < m and j < n:
-                c = 0 if a[i] == b[j] else 1
-                if dp[i + 1][j + 1] == dp[i][j] + c and kmin[i + 1][j + 1] is not None:
-                    best = 1 + kmin[i + 1][j + 1]
-            if i < m and dp[i + 1][j] == dp[i][j] + 1 and kmin[i + 1][j] is not None:
-                v = kmin[i + 1][j]
-                best = v if best is None else min(best, v)
-            if j < n and dp[i][j + 1] == dp[i][j] + 1 and kmin[i][j + 1] is not None:
-                v = kmin[i][j + 1]
-                best = v if best is None else min(best, v)
-            kmin[i][j] = best
+            if (i, j) != (m, n) and dp[i][j] + sfx[i][j] == d:
+                kmin[i][j] = min(
+                    (code <= 1) + kmin[ni][nj]
+                    for code, (ni, nj) in _optimal_steps(a, b, sfx, i, j)
+                )
 
     k_total = kmin[0][0]
-    assert k_total is not None
     end = (m, n)
     # cell -> lexicographically smallest class-code prefix reaching it
     frontier: dict[tuple[int, int], tuple[int, ...]] = {(0, 0): ()}
@@ -236,25 +247,14 @@ def leftmost_optimal_alignment(top: Word, bottom: Word) -> Alignment:
     while end not in frontier:
         diag_bucket: dict[tuple[int, int], tuple[int, ...]] = {}
         gap_bucket: dict[tuple[int, int], tuple[int, ...]] = {}
-
-        def offer(bucket, cell, seq):
-            cur = bucket.get(cell)
-            if cur is None or seq < cur:
-                bucket[cell] = seq
-
         for (i, j), prefix in frontier.items():
-            if i < m and j < n:
-                c = 0 if a[i] == b[j] else 1
-                if (
-                    dp[i + 1][j + 1] == dp[i][j] + c
-                    and kmin[i + 1][j + 1] == k_total - k_used - 1
-                ):
-                    offer(diag_bucket, (i + 1, j + 1), prefix + (c,))
-            if i < m and dp[i + 1][j] == dp[i][j] + 1 and kmin[i + 1][j] == k_total - k_used:
-                offer(gap_bucket, (i + 1, j), prefix + (_CLASS_CODE[DELETION],))
-            if j < n and dp[i][j + 1] == dp[i][j] + 1 and kmin[i][j + 1] == k_total - k_used:
-                offer(gap_bucket, (i, j + 1), prefix + (_CLASS_CODE[INSERTION],))
-
+            for code, cell in _optimal_steps(a, b, sfx, i, j):
+                diag = code <= 1
+                if kmin[cell[0]][cell[1]] == k_total - k_used - diag:
+                    bucket = diag_bucket if diag else gap_bucket
+                    seq = prefix + (code,)
+                    if cell not in bucket or seq < bucket[cell]:
+                        bucket[cell] = seq
         if diag_bucket:
             frontier = diag_bucket
             k_used += 1
@@ -264,14 +264,7 @@ def leftmost_optimal_alignment(top: Word, bottom: Word) -> Alignment:
     cols: list[Column] = []
     i = j = 0
     for code in frontier[end]:
-        if code <= 1:
-            cols.append(Column(a[i], b[j]))
-            i += 1
-            j += 1
-        elif code == _CLASS_CODE[INSERTION]:
-            cols.append(Column(None, b[j]))
-            j += 1
-        else:
-            cols.append(Column(a[i], None))
-            i += 1
+        ni, nj = i + (code != _CLASS_CODE[INSERTION]), j + (code != _CLASS_CODE[DELETION])
+        cols.append(_column(a, b, i, j, ni, nj))
+        i, j = ni, nj
     return Alignment(tuple(cols))

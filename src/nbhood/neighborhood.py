@@ -9,14 +9,15 @@ Three nested variants of the distance-d neighborhood of a word W:
   neighborhood
 
 Both production routes run on one automaton whose state is the saturated
-DP row of the word read so far. ``count`` makes a forward pass over the
-distinct states, one word length at a time, carrying how many words reach
-each state; the enumerators walk the word trie depth first with an
-explicit stack, carrying the state per node. For the super-condensed kind
-the state also carries a free-start (Sellers) row, which rejects a word
-as soon as one of its proper subwords comes within d of W. The
-brute-force oracle applies the defining set differences over all
-candidate words and exists so the routes can be compared in tests.
+DP row of the word read so far, stepped by ``distance._row_step``.
+``count`` makes a forward pass over the distinct states, one word length
+at a time, carrying how many words reach each state; the enumerators walk
+the word trie depth first with an explicit stack, carrying the state per
+node. For the super-condensed kind the state also carries a free-start
+(Sellers) row, which rejects a word as soon as one of its proper subwords
+comes within d of W. The brute-force oracle applies the defining set
+differences over all candidate words and exists so the routes can be
+compared in tests.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .core import (
     require_same_alphabet,
     require_word,
 )
-from .distance import _dist
+from .distance import _dist, _row_step
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "NBHOOD_BUDGET"
@@ -67,39 +68,19 @@ def _require_distance(d: int) -> None:
         raise RangeError(f"distance must be nonnegative, got {d}")
 
 
+def _query(w: Word, d: int, alphabet: Alphabet, kind: str) -> Word:
+    """Check a neighborhood query; return w rebuilt over the alphabet."""
+    _require_distance(d)
+    if kind not in NEIGHBORHOOD_KINDS:
+        raise ValidationError(f"unknown neighborhood kind {kind!r}")
+    return make_word(require_word(w).text, alphabet)
+
+
 def in_neighborhood(u: Word, w: Word, d: int) -> bool:
     """True iff u lies within Levenshtein distance d of w."""
     _require_distance(d)
     require_same_alphabet(u, w)
     return _dist(u.text, w.text, limit=d) <= d
-
-
-def _row_step(
-    row: tuple[int, ...], symbol: str, w: str, cap: int, free_start: bool = False
-) -> tuple[int, ...]:
-    """One letter of the edit-distance DP against the prefixes of w.
-
-    ``row[j]`` is min(dist(u, w[:j]), cap) for the word u read so far, and
-    the result is that row for u + symbol. Cells saturate at cap = d + 1,
-    since values above d never influence a <= d test. With ``free_start``
-    column 0 is pinned to 0, so a match may begin after any letter read
-    (Sellers 1980): the row then holds the least distance from w[:j] to a
-    suffix of the word read.
-    """
-    left = 0 if free_start else min(row[0] + 1, cap)
-    out = [left]
-    # min(diag + mismatch, above + 1, left + 1, cap), spelled out: this loop
-    # is the hot path, and comparisons run about twice as fast as min()
-    for diag, above, c in zip(row, row[1:], w):
-        if c != symbol:
-            diag += 1
-        if above < diag:
-            diag = above + 1
-        if left < diag:
-            diag = left + 1
-        left = diag if diag < cap else cap
-        out.append(left)
-    return tuple(out)
 
 
 _State = tuple[tuple[int, ...], tuple[int, ...] | None]
@@ -179,8 +160,7 @@ def _result(
 
 
 def _enumerate(w: Word, d: int, alphabet: Alphabet, kind: str) -> NeighborhoodResult:
-    _require_distance(d)
-    w = make_word(require_word(w).text, alphabet)
+    w = _query(w, d, alphabet, kind)
     return _result(w, d, kind, _members(w, d, alphabet, kind), alphabet)
 
 
@@ -199,6 +179,14 @@ def enumerate_super_condensed(w: Word, d: int, alphabet: Alphabet) -> Neighborho
     return _enumerate(w, d, alphabet, KIND_SUPER_CONDENSED)
 
 
+# the enumerator of each kind, in NEIGHBORHOOD_KINDS order
+ENUMERATORS = {
+    KIND_FULL: enumerate_full,
+    KIND_CONDENSED: enumerate_condensed,
+    KIND_SUPER_CONDENSED: enumerate_super_condensed,
+}
+
+
 def count(w: Word, d: int, alphabet: Alphabet, kind: str) -> int:
     """Cardinality of the requested neighborhood without keeping the word list.
 
@@ -206,10 +194,7 @@ def count(w: Word, d: int, alphabet: Alphabet, kind: str) -> int:
     length at a time: each level maps a state to the number of words that
     reach it, so the work grows with the distinct states, not the words.
     """
-    _require_distance(d)
-    if kind not in NEIGHBORHOOD_KINDS:
-        raise ValidationError(f"unknown neighborhood kind {kind!r}")
-    w = make_word(require_word(w).text, alphabet)
+    w = _query(w, d, alphabet, kind)
     start, children = _automaton(w.text, d, alphabet.symbols, kind)
     n = len(w)
     total = 0
@@ -236,10 +221,7 @@ def brute_force_enumerate(
     words are trivially outside the neighborhood). Refuses instances whose
     candidate count s^(|w|+d+1) exceeds the budget.
     """
-    _require_distance(d)
-    if kind not in NEIGHBORHOOD_KINDS:
-        raise ValidationError(f"unknown neighborhood kind {kind!r}")
-    w = make_word(require_word(w).text, alphabet)
+    w = _query(w, d, alphabet, kind)
     limit = resolve_budget(budget)
     s = alphabet.size
     max_len = len(w) + d

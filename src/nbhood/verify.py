@@ -18,6 +18,8 @@ from .core import (
     INSERTION,
     MATCH,
     MISMATCH,
+    NEIGHBORHOOD_KINDS,
+    RangeError,
     Word,
     alphabet_of_size,
     make_word,
@@ -38,9 +40,9 @@ from .distance import (
     levenshtein,
 )
 from .neighborhood import (
+    ENUMERATORS,
     brute_force_enumerate,
     enumerate_condensed,
-    enumerate_full,
     enumerate_super_condensed,
     resolve_budget,
 )
@@ -143,17 +145,11 @@ def _case_sweep(config: VerifyConfig) -> list[tuple[Word, int]]:
     return cases
 
 
-_ENUMERATORS = (
-    ("full", enumerate_full),
-    ("condensed", enumerate_condensed),
-    ("super-condensed", enumerate_super_condensed),
-)
-
-
 def _compare_with_oracle(
-    rec: _Recorder, descriptor: str, w: Word, d: int, kind: str, enum, budget: int | None
+    rec: _Recorder, w: Word, d: int, kind: str, budget: int | None, label: str = ""
 ) -> None:
-    got = enum(w, d, w.alphabet)
+    descriptor = f"{kind} vs oracle{label}: W={w.text!r} d={d} s={w.alphabet.size}"
+    got = ENUMERATORS[kind](w, d, w.alphabet)
     try:
         want = brute_force_enumerate(w, d, w.alphabet, kind, budget=budget)
     except BudgetError as exc:
@@ -165,16 +161,8 @@ def _compare_with_oracle(
 
 def _step_oracle_equivalence(config: VerifyConfig, rec: _Recorder) -> None:
     for w, d in _case_sweep(config):
-        for kind, enum in _ENUMERATORS:
-            _compare_with_oracle(
-                rec,
-                f"{kind} vs oracle: W={w.text!r} d={d} s={w.alphabet.size}",
-                w,
-                d,
-                kind,
-                enum,
-                config.budget,
-            )
+        for kind in NEIGHBORHOOD_KINDS:
+            _compare_with_oracle(rec, w, d, kind, config.budget)
     # seeded spot checks one length past the exhaustive cap
     rng = random.Random(config.seed)
     for s in config.sigmas:
@@ -184,16 +172,8 @@ def _step_oracle_equivalence(config: VerifyConfig, rec: _Recorder) -> None:
             text = "".join(rng.choice(alphabet.symbols) for _ in range(n))
             w = make_word(text, alphabet)
             d = rng.randrange(config.max_dist + 1)
-            kind, enum = _ENUMERATORS[rng.randrange(3)]
-            _compare_with_oracle(
-                rec,
-                f"{kind} vs oracle (sampled): W={w.text!r} d={d} s={s}",
-                w,
-                d,
-                kind,
-                enum,
-                config.budget,
-            )
+            kind = NEIGHBORHOOD_KINDS[rng.randrange(3)]
+            _compare_with_oracle(rec, w, d, kind, config.budget, " (sampled)")
 
 
 def _step_freeness(config: VerifyConfig, rec: _Recorder) -> None:
@@ -393,6 +373,8 @@ def run_verification(config: VerifyConfig | None = None, report=None) -> Verific
     if config.budget is not None:
         # a budget below 1 is bad input, not a refusal to report per case
         resolve_budget(config.budget)
+    if config.max_dist < 0:
+        raise RangeError(f"max_dist must be nonnegative, got {config.max_dist}")
     summary = VerificationSummary()
     start = time.perf_counter()
     for name, step in _STEPS:

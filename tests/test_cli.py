@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, output formats, file output."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nbhood
 from nbhood.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -169,6 +172,21 @@ def test_enum_writes_lf_files(tmp_path, capsys):
     assert b"\r" not in raw
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["enum", "--word", "aa", "--dist", "1", "--sigma", "2"], ["table1"]],
+)
+def test_output_in_a_missing_directory_is_a_usage_error(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *command, "--output", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("nbhood: error:")
+    assert str(target) in err
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_formula_values(capsys):
     code, out, _ = run_cli(
         capsys, "formula", "unary-cn", "--length", "6", "--dist", "2", "--sigma", "2"
@@ -237,6 +255,15 @@ def test_verify_small_scope_passes(capsys):
     assert all(line.endswith("ok") for line in lines[:9])
 
 
+def test_verify_rejects_a_negative_distance_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--max-length", "1", "--max-dist", "-1", "--sigma", "2"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "nbhood: error: max_dist must be nonnegative, got -1\n"
+
+
 def test_verify_reports_failures_with_exit_two(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--max-length", "2", "--max-dist", "1", "--sigma", "2",
@@ -267,10 +294,14 @@ def test_extremal_sampled_is_deterministic(capsys):
 
 
 def test_module_entry_point():
+    # the child process imports the same nbhood as this one, installed or not
+    src = str(Path(nbhood.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nbhood", "dist", "ab", "ba"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout == "2\n"

@@ -15,6 +15,7 @@ from nbhood import (
     alignment_order_key,
     alphabet_of_size,
     enumerate_optimal_alignments,
+    in_neighborhood,
     leftmost_optimal_alignment,
     levenshtein,
     make_alphabet,
@@ -22,6 +23,7 @@ from nbhood import (
     mm_index_sequence,
     optimal_alignment,
 )
+from nbhood.distance import _dist, _prefix_table, _suffix_table
 
 A2 = alphabet_of_size(2)
 A3 = alphabet_of_size(3)
@@ -68,6 +70,33 @@ def test_mixed_alphabets_rejected():
 @given(short3, short3)
 def test_distance_matches_reference(a, b):
     assert levenshtein(_w(a), _w(b)) == _ref_dist(a, b)
+
+
+@given(
+    st.sampled_from([A2, A3]).flatmap(
+        lambda alphabet: st.tuples(
+            st.just(alphabet),
+            st.text(alphabet=alphabet.symbols, max_size=5),
+            st.text(alphabet=alphabet.symbols, max_size=5),
+        )
+    )
+)
+def test_the_row_kernel_matches_the_reference_everywhere(case):
+    # every DP built on the one row step, cell by cell, against the recursion
+    alphabet, a, b = case
+    m, n = len(a), len(b)
+    dp, sfx = _prefix_table(a, b), _suffix_table(a, b)
+    assert [len(row) for row in dp] == [n + 1] * (m + 1)
+    assert [len(row) for row in sfx] == [n + 1] * (m + 1)
+    for i in range(m + 1):
+        for j in range(n + 1):
+            assert dp[i][j] == _ref_dist(a[:i], b[:j]), (i, j)
+            assert sfx[i][j] == _ref_dist(a[i:], b[j:]), (i, j)
+    exact = _ref_dist(a, b)
+    assert _dist(a, b) == exact
+    for limit in range(4):
+        assert _dist(a, b, limit) == min(exact, limit + 1), limit
+        assert in_neighborhood(_w(a, alphabet), _w(b, alphabet), limit) == (exact <= limit)
 
 
 @given(short3, short3, short3)
