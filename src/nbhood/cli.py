@@ -50,9 +50,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_alphabet(args, fallback_chars: str | None = None) -> Alphabet:
-    if getattr(args, "alphabet", None):
+    # an explicit empty or zero value is bad input, not an absent one
+    if getattr(args, "alphabet", None) is not None:
         return make_alphabet(args.alphabet)
-    if getattr(args, "sigma", None):
+    if getattr(args, "sigma", None) is not None:
         return alphabet_of_size(args.sigma)
     if fallback_chars is not None:
         symbols = sorted(set(fallback_chars))

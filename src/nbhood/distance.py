@@ -17,6 +17,12 @@ exit; the prefix table is the list of rows of the same fold, and the suffix
 table is the prefix table of the reversed words, read backwards.
 ``_optimal_steps`` is likewise the one statement of which steps keep an
 alignment optimal.
+
+On long words at a small distance the folds step only the band of cells
+within the cap of the diagonal (``_band_rows``, Ukkonen 1985): the exact
+distance doubles a trial limit until it fits (``_cutoff``), and the
+alignment tables are saturated at d + 1. Short words, as in the oracle and
+``verify``, keep the plain fold, which is faster there.
 """
 from __future__ import annotations
 
@@ -65,19 +71,87 @@ def _row_step(
     return tuple(out)
 
 
+def _banded(cap: int, n: int) -> bool:
+    """Whether to fold only the band of cap, against rows of n + 1 cells.
+
+    Only when the band with a cell of slack on each side, 2 * (cap + 1)
+    cells, is at most half the row: on shorter rows cutting the band costs
+    more than the cells it skips.
+    """
+    return 4 * (cap + 1) <= n
+
+
+def _band_rows(a: str, b: str, cap: int):
+    """The DP rows of a against the prefixes of b, cut to the band.
+
+    Yields (lo, cells) for rows i = 0..len(a): ``cells[k]`` is
+    min(dist(a[:i], b[:lo + k]), cap) for the columns lo = max(0, i - cap)
+    to hi = min(len(b), i + cap - 1). A cell with |i - j| >= cap is at
+    least cap, so every cell outside the band is cap (Ukkonen 1985). The
+    band starts one column left of the live cells |i - j| < cap. The
+    boundary cell's diagonal and left neighbours are then cap and cap + 1
+    off the diagonal, so both are >= cap, and ``_row_step``'s column-0
+    rule (the cell above plus one, saturated) gives its true value.
+    Assumes |len(a) - len(b)| < cap, so that every band is nonempty and
+    the last one reaches column len(b).
+    """
+    n = len(b)
+    lo = 0
+    row = tuple(range(min(cap, n + 1)))
+    yield lo, row
+    for i, symbol in enumerate(a, 1):
+        if i > cap:
+            row = row[1:]
+            lo += 1
+        if i + cap <= n + 1:
+            row += (cap,)
+        row = _row_step(row, symbol, b[lo : lo + len(row) - 1], cap)
+        yield lo, row
+
+
+def _cutoff(a: str, b: str) -> int | None:
+    """The edit distance by Ukkonen's cutoff, or None where it does not pay.
+
+    Doubles a trial limit from max(1, length difference) and folds only
+    the band of each trial, until the distance fits under the limit. Gives
+    up (None) once the band is no longer well narrower than the row.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    limit = max(1, len(a) - len(b))
+    while _banded(limit + 1, len(b)):
+        d = _dist(a, b, limit)
+        if d <= limit:
+            return d
+        limit *= 2
+    return None
+
+
 def _dist(a: str, b: str, limit: int | None = None) -> int:
     """Edit distance between raw strings.
 
     With ``limit`` set, values saturate at ``limit + 1``: the result is the
     exact distance when it is <= limit and ``limit + 1`` otherwise, which
     leaves every ``<= limit`` decision intact while keeping cells small
-    and enabling an early exit once a whole row exceeds the limit.
+    and enabling an early exit once a whole row exceeds the limit. When
+    the band is well narrower than the row, only the band is folded, and
+    without ``limit`` such pairs take the ``_cutoff``.
     """
     if len(a) < len(b):
         a, b = b, a
-    cap = len(a) + 1 if limit is None else limit + 1
+    if limit is not None:
+        cap = limit + 1
+    elif (d := _cutoff(a, b)) is not None:
+        return d
+    else:
+        cap = len(a) + 1
     if len(a) - len(b) >= cap:
         return cap
+    if _banded(cap, len(b)):
+        for _, row in _band_rows(a, b, cap):
+            if min(row) == cap:
+                return cap
+        return row[-1]
     # the first row may run past cap: the step saturates every row it makes
     row = tuple(range(len(b) + 1))
     for symbol in a:
@@ -93,21 +167,48 @@ def levenshtein(u: Word, v: Word) -> int:
     return _dist(u.text, v.text)
 
 
-def _prefix_table(a: str, b: str) -> list[tuple[int, ...]]:
-    """dp[i][j] = distance between a[:i] and b[:j]."""
-    cap = len(a) + len(b) + 1  # above every distance in the table
-    dp = [tuple(range(len(b) + 1))]
+def _prefix_table(a: str, b: str, cap: int | None = None) -> list[tuple[int, ...]]:
+    """dp[i][j] = min(distance between a[:i] and b[:j], cap).
+
+    Without ``cap`` every cell is exact. A cap must exceed
+    |len(a) - len(b)|; the band is folded when it is well narrower than
+    the row, and the cells outside it are filled with cap.
+    """
+    n = len(b)
+    if cap is None:
+        cap = len(a) + n + 1  # above every distance in the table
+    elif _banded(cap, n):
+        return [
+            (cap,) * lo + row + (cap,) * (n + 1 - lo - len(row))
+            for lo, row in _band_rows(a, b, cap)
+        ]
+    dp = [tuple(range(min(cap, n + 1))) + (cap,) * (n + 1 - cap)]
     for symbol in a:
         dp.append(_row_step(dp[-1], symbol, b, cap))
     return dp
 
 
-def _suffix_table(a: str, b: str) -> list[tuple[int, ...]]:
-    """sfx[i][j] = distance between a[i:] and b[j:].
+def _suffix_table(a: str, b: str, cap: int | None = None) -> list[tuple[int, ...]]:
+    """sfx[i][j] = min(distance between a[i:] and b[j:], cap).
 
     The prefix table of the reversed strings, read backwards.
     """
-    return [row[::-1] for row in reversed(_prefix_table(a[::-1], b[::-1]))]
+    return [row[::-1] for row in reversed(_prefix_table(a[::-1], b[::-1], cap))]
+
+
+def _optimal_prefix_table(a: str, b: str) -> tuple[int, list[tuple[int, ...]]]:
+    """The distance d and a prefix table saturated at d + 1 or above.
+
+    Every cell of an optimal path is at most d, and a saturated cell fails
+    the same equalities its true value fails, so any cap above d leaves
+    each step of an optimal path as it is. Pairs that take the ``_cutoff``
+    get the band of d + 1; the others the plain table, d its last cell.
+    """
+    d = _cutoff(a, b)
+    if d is None:
+        dp = _prefix_table(a, b)
+        return dp[-1][-1], dp
+    return d, _prefix_table(a, b, d + 1)
 
 
 def _optimal_steps(a: str, b: str, sfx: list[tuple[int, ...]], i: int, j: int):
@@ -139,7 +240,7 @@ def optimal_alignment(u: Word, v: Word) -> Alignment:
     """Some minimum-cost alignment with u on the top row and v on the bottom."""
     require_same_alphabet(u, v)
     a, b = u.text, v.text
-    dp = _prefix_table(a, b)
+    _, dp = _optimal_prefix_table(a, b)
     cols: list[Column] = []
     i, j = len(a), len(b)
     while i > 0 or j > 0:
@@ -223,16 +324,15 @@ def leftmost_optimal_alignment(top: Word, bottom: Word) -> Alignment:
     require_same_alphabet(top, bottom)
     a, b = top.text, bottom.text
     m, n = len(a), len(b)
-    dp = _prefix_table(a, b)
-    sfx = _suffix_table(a, b)
-    d = dp[m][n]
+    d, dp = _optimal_prefix_table(a, b)
+    sfx = _suffix_table(a, b, d + 1)
 
     # Fewest diagonal (match/mismatch) steps over optimal completions of
-    # each cell that lies on an optimal path.
+    # each cell that lies on an optimal path; such cells have |i - j| <= d.
     kmin: list[list[int | None]] = [[None] * (n + 1) for _ in range(m + 1)]
     kmin[m][n] = 0
     for i in range(m, -1, -1):
-        for j in range(n, -1, -1):
+        for j in range(min(n, i + d), max(0, i - d) - 1, -1):
             if (i, j) != (m, n) and dp[i][j] + sfx[i][j] == d:
                 kmin[i][j] = min(
                     (code <= 1) + kmin[ni][nj]

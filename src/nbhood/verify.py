@@ -375,6 +375,8 @@ def run_verification(config: VerifyConfig | None = None, report=None) -> Verific
         resolve_budget(config.budget)
     if config.max_dist < 0:
         raise RangeError(f"max_dist must be nonnegative, got {config.max_dist}")
+    if config.max_length < 1:
+        raise RangeError(f"max_length must be >= 1, got {config.max_length}")
     summary = VerificationSummary()
     start = time.perf_counter()
     for name, step in _STEPS:

@@ -67,6 +67,26 @@ def test_enum_requires_an_alphabet(capsys):
     assert "alphabet" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("enum", "--word", "a", "--dist", "1"), ("dist", "ab", "ba")],
+    ids=["enum", "dist"],
+)
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (("--sigma", "0"), "alphabet size must be >= 1, got 0"),
+        (("--alphabet", ""), "alphabet spec must be nonempty"),
+    ],
+    ids=["sigma-0", "alphabet-empty"],
+)
+def test_an_empty_alphabet_is_rejected_not_ignored(capsys, command, option, message):
+    code, out, err = run_cli(capsys, *command, *option)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"nbhood: error: {message}\n"
+
+
 def test_enum_json_payload(capsys):
     code, out, _ = run_cli(
         capsys, "enum", "--word", "aa", "--dist", "1", "--sigma", "2",
@@ -262,6 +282,15 @@ def test_verify_rejects_a_negative_distance_cap(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "nbhood: error: max_dist must be nonnegative, got -1\n"
+
+
+def test_verify_rejects_a_length_cap_below_one(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--max-length", "-1", "--max-dist", "1", "--sigma", "2"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "nbhood: error: max_length must be >= 1, got -1\n"
 
 
 def test_verify_reports_failures_with_exit_two(capsys):

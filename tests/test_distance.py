@@ -23,14 +23,18 @@ from nbhood import (
     mm_index_sequence,
     optimal_alignment,
 )
-from nbhood.distance import _dist, _prefix_table, _suffix_table
+from nbhood.distance import _banded, _dist, _prefix_table, _suffix_table
 
 A2 = alphabet_of_size(2)
 A3 = alphabet_of_size(3)
+A4 = alphabet_of_size(4)
 
 
-def _ref_dist(a: str, b: str) -> int:
-    """Textbook recursion, memoized; independent of the production DP."""
+def _ref_prefix_dist(a: str, b: str):
+    """Textbook recursion, memoized; independent of the production DP.
+
+    The returned function maps (i, j) to the distance of a[:i] and b[:j].
+    """
 
     @functools.lru_cache(maxsize=None)
     def go(i, j):
@@ -44,7 +48,11 @@ def _ref_dist(a: str, b: str) -> int:
             go(i - 1, j - 1) + (a[i - 1] != b[j - 1]),
         )
 
-    return go(len(a), len(b))
+    return go
+
+
+def _ref_dist(a: str, b: str) -> int:
+    return _ref_prefix_dist(a, b)(len(a), len(b))
 
 
 def _w(text: str, alphabet=A3):
@@ -97,6 +105,48 @@ def test_the_row_kernel_matches_the_reference_everywhere(case):
     for limit in range(4):
         assert _dist(a, b, limit) == min(exact, limit + 1), limit
         assert in_neighborhood(_w(a, alphabet), _w(b, alphabet), limit) == (exact <= limit)
+
+
+@st.composite
+def near_pairs(draw):
+    # a word of 28-40 letters and a copy of it with at most four edits, so
+    # that the pair is long next to its distance
+    a = draw(st.text(alphabet="abcd", min_size=28, max_size=40))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("sub", "ins", "del")))
+        i = draw(st.integers(0, len(b) - 1))
+        if op == "del":
+            del b[i]
+        else:
+            letter = draw(st.sampled_from("abcd"))
+            b[i : i + (op == "sub")] = [letter]
+    return a, "".join(b)
+
+
+@given(near_pairs())
+def test_the_band_matches_the_reference_on_long_near_pairs(pair):
+    a, b = pair
+    exact = _ref_dist(a, b)
+    assert exact <= 4
+    # the band is narrower than the row for every cap used below, so the
+    # banded fold, the doubling and the saturated tables are all exercised
+    assert all(_banded(cap, min(len(a), len(b))) for cap in range(1, 6))
+    assert _dist(a, b) == exact
+    for limit in range(5):
+        assert _dist(a, b, limit) == min(exact, limit + 1), limit
+    cap = exact + 1
+    dp, sfx = _prefix_table(a, b, cap), _suffix_table(a, b, cap)
+    m, n = len(a), len(b)
+    ref_dp, ref_rev = _ref_prefix_dist(a, b), _ref_prefix_dist(a[::-1], b[::-1])
+    for i in range(m + 1):
+        for j in range(n + 1):
+            assert dp[i][j] == min(ref_dp(i, j), cap), (i, j)
+            assert sfx[i][j] == min(ref_rev(m - i, n - j), cap), (i, j)
+    u, v = _w(a, A4), _w(b, A4)
+    best = min(enumerate_optimal_alignments(u, v, max_len=44), key=alignment_order_key)
+    assert alignment_order_key(leftmost_optimal_alignment(u, v)) == alignment_order_key(best)
+    assert optimal_alignment(u, v).cost == levenshtein(u, v) == exact
 
 
 @given(short3, short3, short3)
