@@ -34,7 +34,7 @@ from .counting import (
 )
 from .distance import leftmost_optimal_alignment, levenshtein, optimal_alignment
 from .extremal import MODE_EXHAUSTIVE, MODE_SAMPLED, scan_extremal
-from .neighborhood import ENUMERATORS, brute_force_enumerate, count
+from .neighborhood import ENUMERATORS, brute_force_enumerate, count, resolve_budget
 from .verify import VerifyConfig, run_verification
 
 EXIT_OK = 0
@@ -337,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "budget", None) is not None:
+            # checked here for every route, also those that never spend it
+            resolve_budget(args.budget)
         return args.func(args)
     except (ValidationError, RangeError, BudgetError) as exc:
         print(f"nbhood: error: {exc}", file=sys.stderr)

@@ -19,9 +19,12 @@ table is the prefix table of the reversed words, read backwards.
 alignment optimal.
 
 On long words at a small distance the folds step only the band of cells
-within the cap of the diagonal (``_band_rows``, Ukkonen 1985): the exact
-distance doubles a trial limit until it fits (``_cutoff``), and the
-alignment tables are saturated at d + 1. Short words, as in the oracle and
+within the cap of the diagonal (``_band_rows``, Ukkonen 1985). ``_exact``
+tries limits on d: a try whose band dies at row i restarts at the limit its
+rows would reach by the last row, and at least twice the old one. Both
+alignments pad the rows of the try that fit with d + 1 instead of folding
+the prefix table again, and ``optimal_alignment`` takes the first optimal
+step at each cell of the reversed words. Short words, as in the oracle and
 ``verify``, keep the plain fold, which is faster there.
 """
 from __future__ import annotations
@@ -109,42 +112,18 @@ def _band_rows(a: str, b: str, cap: int):
         yield lo, row
 
 
-def _cutoff(a: str, b: str) -> int | None:
-    """The edit distance by Ukkonen's cutoff, or None where it does not pay.
+def _dist(a: str, b: str, limit: int) -> int:
+    """Edit distance between raw strings, saturated at ``limit + 1``.
 
-    Doubles a trial limit from max(1, length difference) and folds only
-    the band of each trial, until the distance fits under the limit. Gives
-    up (None) once the band is no longer well narrower than the row.
+    The result is the exact distance when it is <= limit and ``limit + 1``
+    otherwise, which leaves every ``<= limit`` decision intact while
+    keeping cells small and enabling an early exit once a whole row
+    exceeds the limit. When the band is well narrower than the row, only
+    the band is folded.
     """
     if len(a) < len(b):
         a, b = b, a
-    limit = max(1, len(a) - len(b))
-    while _banded(limit + 1, len(b)):
-        d = _dist(a, b, limit)
-        if d <= limit:
-            return d
-        limit *= 2
-    return None
-
-
-def _dist(a: str, b: str, limit: int | None = None) -> int:
-    """Edit distance between raw strings.
-
-    With ``limit`` set, values saturate at ``limit + 1``: the result is the
-    exact distance when it is <= limit and ``limit + 1`` otherwise, which
-    leaves every ``<= limit`` decision intact while keeping cells small
-    and enabling an early exit once a whole row exceeds the limit. When
-    the band is well narrower than the row, only the band is folded, and
-    without ``limit`` such pairs take the ``_cutoff``.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    if limit is not None:
-        cap = limit + 1
-    elif (d := _cutoff(a, b)) is not None:
-        return d
-    else:
-        cap = len(a) + 1
+    cap = limit + 1
     if len(a) - len(b) >= cap:
         return cap
     if _banded(cap, len(b)):
@@ -161,10 +140,44 @@ def _dist(a: str, b: str, limit: int | None = None) -> int:
     return row[-1]
 
 
+def _exact(a: str, b: str) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """The edit distance d, and the DP rows (lo, cells) of the fold that found it.
+
+    The rows are those of a against the prefixes of b, as ``_band_rows``
+    yields them. Each cell is exact up to d and above d otherwise, which
+    leaves every step of an optimal path as it is: its cells are at most d,
+    and a cell above d fails every equality that its true value fails.
+    Ukkonen's cutoff: a try folds the band of limit + 1, from limit =
+    max(1, length difference), and fits when its last cell is at most the
+    limit. A try that dies at row i, every cell above the limit, restarts
+    at the limit its rows would reach by row len(a), ceil((limit + 1) *
+    len(a) / i), and at least twice the old one. Once the band is no longer
+    well narrower than the row, the plain table is folded instead.
+    """
+    m, n = len(a), len(b)
+    limit = max(1, abs(m - n))
+    while _banded(limit + 1, n):
+        rows = []
+        for lo, row in _band_rows(a, b, limit + 1):
+            rows.append((lo, row))
+            if min(row) > limit:
+                break
+        if row[-1] <= limit:
+            return row[-1], rows
+        limit = max(2 * limit, -(-(limit + 1) * m // (len(rows) - 1)))
+    dp = _prefix_table(a, b)
+    return dp[-1][-1], [(0, row) for row in dp]
+
+
 def levenshtein(u: Word, v: Word) -> int:
     """Minimum number of insertions, deletions, and substitutions turning u into v."""
     require_same_alphabet(u, v)
-    return _dist(u.text, v.text)
+    return _exact(u.text, v.text)[0]
+
+
+def _pad(rows, n: int, cap: int) -> list[tuple[int, ...]]:
+    """Rows of n + 1 cells from the rows (lo, cells) of a band, cap outside it."""
+    return [(cap,) * lo + row + (cap,) * (n + 1 - lo - len(row)) for lo, row in rows]
 
 
 def _prefix_table(a: str, b: str, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -178,10 +191,7 @@ def _prefix_table(a: str, b: str, cap: int | None = None) -> list[tuple[int, ...
     if cap is None:
         cap = len(a) + n + 1  # above every distance in the table
     elif _banded(cap, n):
-        return [
-            (cap,) * lo + row + (cap,) * (n + 1 - lo - len(row))
-            for lo, row in _band_rows(a, b, cap)
-        ]
+        return _pad(_band_rows(a, b, cap), n, cap)
     dp = [tuple(range(min(cap, n + 1))) + (cap,) * (n + 1 - cap)]
     for symbol in a:
         dp.append(_row_step(dp[-1], symbol, b, cap))
@@ -194,21 +204,6 @@ def _suffix_table(a: str, b: str, cap: int | None = None) -> list[tuple[int, ...
     The prefix table of the reversed strings, read backwards.
     """
     return [row[::-1] for row in reversed(_prefix_table(a[::-1], b[::-1], cap))]
-
-
-def _optimal_prefix_table(a: str, b: str) -> tuple[int, list[tuple[int, ...]]]:
-    """The distance d and a prefix table saturated at d + 1 or above.
-
-    Every cell of an optimal path is at most d, and a saturated cell fails
-    the same equalities its true value fails, so any cap above d leaves
-    each step of an optimal path as it is. Pairs that take the ``_cutoff``
-    get the band of d + 1; the others the plain table, d its last cell.
-    """
-    d = _cutoff(a, b)
-    if d is None:
-        dp = _prefix_table(a, b)
-        return dp[-1][-1], dp
-    return d, _prefix_table(a, b, d + 1)
 
 
 def _optimal_steps(a: str, b: str, sfx: list[tuple[int, ...]], i: int, j: int):
@@ -237,24 +232,24 @@ def _column(a: str, b: str, i: int, j: int, ni: int, nj: int) -> Column:
 
 
 def optimal_alignment(u: Word, v: Word) -> Alignment:
-    """Some minimum-cost alignment with u on the top row and v on the bottom."""
+    """Some minimum-cost alignment with u on the top row and v on the bottom.
+
+    Walks the reversed words from their first cell, taking the first step
+    of ``_optimal_steps`` at each cell: the path that a backtrack through
+    the prefix table takes when it prefers the diagonal, then the deletion.
+    The reversed words' suffix table is the prefix table read backwards.
+    """
     require_same_alphabet(u, v)
-    a, b = u.text, v.text
-    _, dp = _optimal_prefix_table(a, b)
+    d, rows = _exact(u.text, v.text)
+    a, b = u.text[::-1], v.text[::-1]
+    sfx = [row[::-1] for row in reversed(_pad(rows, len(b), d + 1))]
     cols: list[Column] = []
-    i, j = len(a), len(b)
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
-            cols.append(Column(a[i - 1], b[j - 1]))
-            i, j = i - 1, j - 1
-        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
-            cols.append(Column(a[i - 1], None))
-            i -= 1
-        else:
-            cols.append(Column(None, b[j - 1]))
-            j -= 1
-    cols.reverse()
-    return Alignment(tuple(cols))
+    i = j = 0
+    while i < len(a) or j < len(b):
+        _, (ni, nj) = next(_optimal_steps(a, b, sfx, i, j))
+        cols.append(_column(a, b, i, j, ni, nj))
+        i, j = ni, nj
+    return Alignment(tuple(reversed(cols)))
 
 
 def enumerate_optimal_alignments(
@@ -324,7 +319,8 @@ def leftmost_optimal_alignment(top: Word, bottom: Word) -> Alignment:
     require_same_alphabet(top, bottom)
     a, b = top.text, bottom.text
     m, n = len(a), len(b)
-    d, dp = _optimal_prefix_table(a, b)
+    d, rows = _exact(a, b)
+    dp = _pad(rows, n, d + 1)
     sfx = _suffix_table(a, b, d + 1)
 
     # Fewest diagonal (match/mismatch) steps over optimal completions of

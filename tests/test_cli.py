@@ -155,6 +155,8 @@ def test_enum_oracle_budget_refusal(capsys):
         ["enum", "--word", "ab", "--dist", "1", "--sigma", "2", "--oracle"],
         ["extremal", "--length", "2", "--dist", "1", "--sigma", "2"],
         ["verify", "--max-length", "1", "--max-dist", "0", "--sigma", "2"],
+        ["enum", "--word", "a", "--dist", "1", "--sigma", "2"],
+        ["extremal", "--length", "2", "--dist", "1", "--sigma", "2", "--mode", "sampled"],
     ],
 )
 def test_nonpositive_budget_is_a_usage_error(capsys, command, budget):

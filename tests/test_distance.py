@@ -3,7 +3,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from nbhood import (
@@ -11,6 +11,7 @@ from nbhood import (
     INSERTION,
     MATCH,
     BudgetError,
+    Column,
     ValidationError,
     alignment_order_key,
     alphabet_of_size,
@@ -23,7 +24,7 @@ from nbhood import (
     mm_index_sequence,
     optimal_alignment,
 )
-from nbhood.distance import _banded, _dist, _prefix_table, _suffix_table
+from nbhood.distance import _banded, _dist, _exact, _pad, _prefix_table, _suffix_table
 
 A2 = alphabet_of_size(2)
 A3 = alphabet_of_size(3)
@@ -53,6 +54,40 @@ def _ref_prefix_dist(a: str, b: str):
 
 def _ref_dist(a: str, b: str) -> int:
     return _ref_prefix_dist(a, b)(len(a), len(b))
+
+
+def _ref_backtrack(a: str, b: str) -> tuple[Column, ...]:
+    """The reference optimal path, backtracked over the recursion.
+
+    From the last cell back, take the diagonal step if it keeps the
+    distance, else the deletion if it does, else the insertion.
+    """
+    dp = _ref_prefix_dist(a, b)
+    cols = []
+    i, j = len(a), len(b)
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dp(i, j) == dp(i - 1, j - 1) + (a[i - 1] != b[j - 1]):
+            cols.append(Column(a[i - 1], b[j - 1]))
+            i, j = i - 1, j - 1
+        elif i > 0 and dp(i, j) == dp(i - 1, j) + 1:
+            cols.append(Column(a[i - 1], None))
+            i -= 1
+        else:
+            cols.append(Column(None, b[j - 1]))
+            j -= 1
+    return tuple(reversed(cols))
+
+
+def _check_exact(a: str, b: str, exact: int) -> None:
+    # the rows of the fold that found d, padded as the alignments pad them:
+    # every cell exact up to d, and above d elsewhere
+    d, rows = _exact(a, b)
+    assert d == exact
+    dp, ref = _pad(rows, len(b), d + 1), _ref_prefix_dist(a, b)
+    assert [len(row) for row in dp] == [len(b) + 1] * (len(a) + 1)
+    for i, row in enumerate(dp):
+        for j, cell in enumerate(row):
+            assert min(cell, d + 1) == min(ref(i, j), d + 1), (i, j)
 
 
 def _w(text: str, alphabet=A3):
@@ -101,7 +136,7 @@ def test_the_row_kernel_matches_the_reference_everywhere(case):
             assert dp[i][j] == _ref_dist(a[:i], b[:j]), (i, j)
             assert sfx[i][j] == _ref_dist(a[i:], b[j:]), (i, j)
     exact = _ref_dist(a, b)
-    assert _dist(a, b) == exact
+    _check_exact(a, b, exact)
     for limit in range(4):
         assert _dist(a, b, limit) == min(exact, limit + 1), limit
         assert in_neighborhood(_w(a, alphabet), _w(b, alphabet), limit) == (exact <= limit)
@@ -130,9 +165,10 @@ def test_the_band_matches_the_reference_on_long_near_pairs(pair):
     exact = _ref_dist(a, b)
     assert exact <= 4
     # the band is narrower than the row for every cap used below, so the
-    # banded fold, the doubling and the saturated tables are all exercised
+    # banded fold, the cutoff's restarts and the saturated tables are all
+    # exercised
     assert all(_banded(cap, min(len(a), len(b))) for cap in range(1, 6))
-    assert _dist(a, b) == exact
+    _check_exact(a, b, exact)
     for limit in range(5):
         assert _dist(a, b, limit) == min(exact, limit + 1), limit
     cap = exact + 1
@@ -147,6 +183,39 @@ def test_the_band_matches_the_reference_on_long_near_pairs(pair):
     best = min(enumerate_optimal_alignments(u, v, max_len=44), key=alignment_order_key)
     assert alignment_order_key(leftmost_optimal_alignment(u, v)) == alignment_order_key(best)
     assert optimal_alignment(u, v).cost == levenshtein(u, v) == exact
+
+
+@given(st.one_of(st.tuples(short3, short3), near_pairs()))
+def test_optimal_alignment_is_the_reference_backtrack(pair):
+    a, b = pair
+    assert optimal_alignment(_w(a, A4), _w(b, A4)).columns == _ref_backtrack(a, b)
+
+
+@st.composite
+def far_pairs(draw):
+    # two words of 30-60 letters, equal up to a common prefix of at most 20
+    # letters and drawn apart after it: the longer the prefix, the later
+    # the cutoff's first try dies, and the narrower the band it restarts at
+    common = draw(st.text(alphabet="abcd", max_size=20))
+    tails = st.text(alphabet="abcd", min_size=30 - len(common), max_size=60 - len(common))
+    return common + draw(tails), common + draw(tails)
+
+
+@given(far_pairs())
+@example(("abcd" * 5 + "a" * 30, "abcd" * 5 + "b" * 30))  # two tries die
+def test_long_far_pairs_match_the_reference(pair):
+    # above a quarter of the shorter word every band the cutoff tries is
+    # too narrow, so each try dies, and the plain fold gives the distance
+    a, b = pair
+    exact = _ref_dist(a, b)
+    assume(4 * exact > min(len(a), len(b)))
+    u, v = _w(a, A4), _w(b, A4)
+    assert levenshtein(u, v) == exact
+    _check_exact(a, b, exact)
+    for limit in (0, 1, 3, 7, exact - 1, exact, exact + 1):
+        assert _dist(a, b, limit) == min(exact, limit + 1), limit
+    for al in (optimal_alignment(u, v), leftmost_optimal_alignment(u, v)):
+        assert (al.cost, al.top_text, al.bottom_text) == (exact, a, b)
 
 
 @given(short3, short3, short3)
