@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage or validation problem, 2 verification
-failure. Counts in JSON output are decimal strings so arbitrary-precision
-values survive any consumer; CSV uses a header row, LF line endings, and
-UTF-8.
+Exit codes: 0 success, 1 usage or validation problem (or standard output
+closed by its reader), 2 verification failure. Counts in JSON output are
+decimal strings so arbitrary-precision values survive any consumer; CSV
+uses a header row, LF line endings, and UTF-8.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -343,6 +344,24 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValidationError, RangeError, BudgetError) as exc:
         print(f"nbhood: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            # flush here, also after --help, so that a reader that went away
+            # is seen inside the try
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (say, `| head -1`): send what is left
+        # to devnull, so the flush at interpreter exit cannot fail again,
+        # and exit 1 as Python itself does on a closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_USAGE
 
 

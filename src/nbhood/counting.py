@@ -284,6 +284,41 @@ def _chain_dominance(w: int, d: int, s: int) -> LemmaCheck:
     return LemmaCheck("chain_dominance", ((w, d, s),), () if ok else ((w, d, s),))
 
 
+def _lemma_reports(w: int, d: int, sigmas: tuple[int, ...]) -> list[LemmaCheckReport]:
+    """The lemma-chain report at (w, d, s) for each s in sigmas, in that order.
+
+    Five of the seven checks do not depend on s; they run once and are
+    shared by every report.
+    """
+    for s in sigmas:
+        if s < 2:
+            raise RangeError(f"alphabet size must be at least 2, got {s}")
+    if not 1 <= d <= w:
+        raise RangeError(f"need 1 <= distance <= length, got d={d}, w={w}")
+    square = _shifted_square_bound(w, d)
+    quartic = _shifted_quartic_bound(w, d)
+    pair = _binomial_pair_bound(w, d)
+    layout = _gap_layout_bound(w, d)
+    central = _central_sum_bound(w, d)
+    return [
+        LemmaCheckReport(
+            word_length=w,
+            distance=d,
+            alphabet_size=s,
+            checks=(
+                _expansion_identity(w, d, s),
+                square,
+                quartic,
+                pair,
+                layout,
+                central,
+                _chain_dominance(w, d, s),
+            ),
+        )
+        for s in sigmas
+    ]
+
+
 def check_bound_lemmas(w: int, d: int, s: int) -> LemmaCheckReport:
     """Replay the bound-proof lemma chain exactly at one parameter point.
 
@@ -291,17 +326,4 @@ def check_bound_lemmas(w: int, d: int, s: int) -> LemmaCheckReport:
     are checked at every in-range index; checks whose hypotheses exclude
     the point (those needing d < w) report an empty tested range.
     """
-    if s < 2:
-        raise RangeError(f"alphabet size must be at least 2, got {s}")
-    if not 1 <= d <= w:
-        raise RangeError(f"need 1 <= distance <= length, got d={d}, w={w}")
-    checks = (
-        _expansion_identity(w, d, s),
-        _shifted_square_bound(w, d),
-        _shifted_quartic_bound(w, d),
-        _binomial_pair_bound(w, d),
-        _gap_layout_bound(w, d),
-        _central_sum_bound(w, d),
-        _chain_dominance(w, d, s),
-    )
-    return LemmaCheckReport(word_length=w, distance=d, alphabet_size=s, checks=checks)
+    return _lemma_reports(w, d, (s,))[0]

@@ -24,8 +24,8 @@ tries limits on d: a try whose band dies at row i restarts at the limit its
 rows would reach by the last row, and at least twice the old one. Both
 alignments pad the rows of the try that fit with d + 1 instead of folding
 the prefix table again, and ``optimal_alignment`` takes the first optimal
-step at each cell of the reversed words. Short words, as in the oracle and
-``verify``, keep the plain fold, which is faster there.
+step at each cell of the reversed words. Short words, as in ``verify``,
+keep the plain fold, which is faster there.
 """
 from __future__ import annotations
 

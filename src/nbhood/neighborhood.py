@@ -15,14 +15,17 @@ at a time, carrying how many words reach each state; the enumerators walk
 the word trie depth first with an explicit stack, carrying the state per
 node. For the super-condensed kind the state also carries a free-start
 (Sellers) row, which rejects a word as soon as one of its proper subwords
-comes within d of W. The brute-force oracle applies the defining set
-differences over all candidate words and exists so the routes can be
-compared in tests.
+comes within d of W. The brute-force oracle scans the candidate words
+once, with a textbook full-table DP of its own, keeps the full set, and
+takes the condensed and super-condensed sets from it by their
+definitions; it shares no DP code with the automaton, so tests and
+``verify`` can compare the two routes.
 """
 from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Sequence
 
 from .core import (
     Alphabet,
@@ -212,19 +215,46 @@ def count(w: Word, d: int, alphabet: Alphabet, kind: str) -> int:
     return total
 
 
-def brute_force_enumerate(
-    w: Word, d: int, alphabet: Alphabet, kind: str, budget: int | None = None
-) -> NeighborhoodResult:
-    """Ground-truth oracle: test every candidate word, apply the definitions literally.
+def _plain_dist(u: Sequence[str], w: str) -> int:
+    """Textbook edit distance over the full table: no cap, no band, no early exit.
 
-    Candidates are all words over the alphabet of length 0..|w|+d (longer
-    words are trivially outside the neighborhood). Refuses instances whose
-    candidate count s^(|w|+d+1) exceeds the budget.
+    The oracle's own DP. It shares no code with ``distance``, so a fault in
+    the production recurrence cannot reach both sides of a comparison.
     """
-    w = _query(w, d, alphabet, kind)
+    row = list(range(len(w) + 1))
+    for i, symbol in enumerate(u, 1):
+        left = i
+        out = [left]
+        for diag, above, c in zip(row, row[1:], w):
+            if c != symbol:
+                diag += 1
+            if above < diag:
+                diag = above + 1
+            if left < diag:
+                diag = left + 1
+            out.append(diag)
+            left = diag
+        row = out
+    return row[-1]
+
+
+def _oracle(
+    w: Word, d: int, alphabet: Alphabet, budget: int | None = None
+) -> dict[str, list[str]]:
+    """All three neighborhoods of a checked query, by one scan and the definitions.
+
+    Tests every candidate word of length |w|-d..|w|+d with ``_plain_dist``
+    (the distance is at least the length difference, so no other length is
+    a member) and keeps the full set. The condensed and super-condensed
+    sets are then its members with no proper prefix, and no proper
+    contiguous subword, in it. Returns the canonically sorted texts keyed
+    by kind. Refuses instances whose candidate count s^(|w|+d+1) exceeds
+    the budget.
+    """
     limit = resolve_budget(budget)
     s = alphabet.size
-    max_len = len(w) + d
+    n = len(w)
+    max_len = n + d
     if s ** (max_len + 1) > limit:
         raise BudgetError(
             f"oracle would scan about {s ** (max_len + 1)} candidates, over the "
@@ -232,29 +262,40 @@ def brute_force_enumerate(
         )
 
     full = set()
-    for length in range(max_len + 1):
+    for length in range(max(0, n - d), max_len + 1):
         for chars in itertools.product(alphabet.symbols, repeat=length):
-            cand = "".join(chars)
-            if _dist(cand, w.text, limit=d) <= d:
-                full.add(cand)
+            if _plain_dist(chars, w.text) <= d:
+                full.add("".join(chars))
 
-    if kind == KIND_FULL:
-        selected = full
-    elif kind == KIND_CONDENSED:
-        selected = {
-            u for u in full if not any(u[:k] in full for k in range(len(u)))
-        }
-    else:
-        selected = {
+    ordered = sorted(full, key=lambda t: tuple(alphabet.rank(c) for c in t))
+    return {
+        KIND_FULL: ordered,
+        KIND_CONDENSED: [
+            u for u in ordered if not any(u[:k] in full for k in range(len(u)))
+        ],
+        KIND_SUPER_CONDENSED: [
             u
-            for u in full
+            for u in ordered
             if not any(
                 u[i:j] in full
                 for i in range(len(u) + 1)
                 for j in range(i, len(u) + 1)
                 if (i, j) != (0, len(u))
             )
-        }
+        ],
+    }
 
-    texts = sorted(selected, key=lambda t: tuple(alphabet.rank(c) for c in t))
-    return _result(w, d, kind, texts, alphabet)
+
+def brute_force_enumerate(
+    w: Word, d: int, alphabet: Alphabet, kind: str, budget: int | None = None
+) -> NeighborhoodResult:
+    """Ground-truth oracle: test every candidate word, apply the definitions literally.
+
+    One scan of the candidates finds the full neighborhood with the
+    oracle's own textbook DP; the condensed and super-condensed sets are
+    taken from it by their definitions, and this returns the requested
+    one (see ``_oracle``). Refuses instances whose candidate count
+    s^(|w|+d+1) exceeds the budget.
+    """
+    w = _query(w, d, alphabet, kind)
+    return _result(w, d, kind, _oracle(w, d, alphabet, budget)[kind], alphabet)

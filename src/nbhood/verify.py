@@ -20,14 +20,15 @@ from .core import (
     MISMATCH,
     NEIGHBORHOOD_KINDS,
     RangeError,
+    ValidationError,
     Word,
     alphabet_of_size,
     make_word,
 )
 from .counting import (
+    _lemma_reports,
     alignment_profile_bound,
     bound_table_rows,
-    check_bound_lemmas,
     closed_form_bound_exact,
     unary_condensed_count,
     unary_super_condensed_count,
@@ -41,7 +42,7 @@ from .distance import (
 )
 from .neighborhood import (
     ENUMERATORS,
-    brute_force_enumerate,
+    _oracle,
     enumerate_condensed,
     enumerate_super_condensed,
     resolve_budget,
@@ -96,6 +97,7 @@ class StepResult:
     name: str
     cases: int
     failures: tuple[tuple[str, str, str], ...]
+    seconds: float
 
 
 @dataclass
@@ -146,23 +148,30 @@ def _case_sweep(config: VerifyConfig) -> list[tuple[Word, int]]:
 
 
 def _compare_with_oracle(
-    rec: _Recorder, w: Word, d: int, kind: str, budget: int | None, label: str = ""
+    rec: _Recorder,
+    w: Word,
+    d: int,
+    kinds: tuple[str, ...],
+    budget: int | None,
+    label: str = "",
 ) -> None:
-    descriptor = f"{kind} vs oracle{label}: W={w.text!r} d={d} s={w.alphabet.size}"
-    got = ENUMERATORS[kind](w, d, w.alphabet)
+    """Check each kind's enumerator against one oracle scan of (w, d)."""
+    where = f"vs oracle{label}: W={w.text!r} d={d} s={w.alphabet.size}"
     try:
-        want = brute_force_enumerate(w, d, w.alphabet, kind, budget=budget)
+        want = _oracle(w, d, w.alphabet, budget)
     except BudgetError as exc:
         # a configured case the oracle cannot afford is a failure, not a skip
-        rec.claim(descriptor, False, f"oracle refused: {exc}")
+        for kind in kinds:
+            rec.claim(f"{kind} {where}", False, f"oracle refused: {exc}")
         return
-    rec.check(descriptor, [x.text for x in want.words], [x.text for x in got.words])
+    for kind in kinds:
+        got = ENUMERATORS[kind](w, d, w.alphabet)
+        rec.check(f"{kind} {where}", want[kind], [x.text for x in got.words])
 
 
 def _step_oracle_equivalence(config: VerifyConfig, rec: _Recorder) -> None:
     for w, d in _case_sweep(config):
-        for kind in NEIGHBORHOOD_KINDS:
-            _compare_with_oracle(rec, w, d, kind, config.budget)
+        _compare_with_oracle(rec, w, d, NEIGHBORHOOD_KINDS, config.budget)
     # seeded spot checks one length past the exhaustive cap
     rng = random.Random(config.seed)
     for s in config.sigmas:
@@ -173,7 +182,7 @@ def _step_oracle_equivalence(config: VerifyConfig, rec: _Recorder) -> None:
             w = make_word(text, alphabet)
             d = rng.randrange(config.max_dist + 1)
             kind = NEIGHBORHOOD_KINDS[rng.randrange(3)]
-            _compare_with_oracle(rec, w, d, kind, config.budget, " (sampled)")
+            _compare_with_oracle(rec, w, d, (kind,), config.budget, " (sampled)")
 
 
 def _step_freeness(config: VerifyConfig, rec: _Recorder) -> None:
@@ -343,15 +352,16 @@ def _step_table(config: VerifyConfig, rec: _Recorder) -> None:
 
 
 def _step_lemmas(config: VerifyConfig, rec: _Recorder) -> None:
-    for s in config.lemma_sigmas:
-        for w in range(1, config.lemma_max_length + 1):
-            for d in range(1, w + 1):
-                report = check_bound_lemmas(w, d, s)
-                rec.claim(
-                    f"lemma chain: w={w} d={d} s={s}",
-                    report.all_passed,
-                    f"failing {[c.name for c in report.failing()]}",
-                )
+    points = [(w, d) for w in range(1, config.lemma_max_length + 1) for d in range(1, w + 1)]
+    reports = {(w, d): _lemma_reports(w, d, config.lemma_sigmas) for w, d in points}
+    for k, s in enumerate(config.lemma_sigmas):
+        for w, d in points:
+            report = reports[w, d][k]
+            rec.claim(
+                f"lemma chain: w={w} d={d} s={s}",
+                report.all_passed,
+                f"failing {[c.name for c in report.failing()]}",
+            )
 
 
 _STEPS = (
@@ -377,12 +387,22 @@ def run_verification(config: VerifyConfig | None = None, report=None) -> Verific
         raise RangeError(f"max_dist must be nonnegative, got {config.max_dist}")
     if config.max_length < 1:
         raise RangeError(f"max_length must be >= 1, got {config.max_length}")
+    for label, sizes in (("sigmas", config.sigmas), ("lemma_sigmas", config.lemma_sigmas)):
+        # a repeated alphabet size would run its sweeps twice over
+        if len(set(sizes)) != len(sizes):
+            raise ValidationError(f"{label} must not repeat, got {list(sizes)}")
     summary = VerificationSummary()
     start = time.perf_counter()
     for name, step in _STEPS:
         rec = _Recorder()
+        step_start = time.perf_counter()
         step(config, rec)
-        result = StepResult(name=name, cases=rec.cases, failures=tuple(rec.failures))
+        result = StepResult(
+            name=name,
+            cases=rec.cases,
+            failures=tuple(rec.failures),
+            seconds=time.perf_counter() - step_start,
+        )
         summary.steps.append(result)
         summary.cases_run += rec.cases
         summary.failures.extend(rec.failures)

@@ -295,6 +295,15 @@ def test_verify_rejects_a_length_cap_below_one(capsys):
     assert err == "nbhood: error: max_length must be >= 1, got -1\n"
 
 
+def test_verify_rejects_repeated_alphabet_sizes(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--sigma", "2", "--sigma", "2", "--max-length", "2"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "nbhood: error: sigmas must not repeat, got [2, 2]\n"
+
+
 def test_verify_reports_failures_with_exit_two(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--max-length", "2", "--max-dist", "1", "--sigma", "2",
@@ -336,3 +345,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout == "2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (("verify", "--max-length", "1", "--sigma", "2"), ""),
+        (("verify", "--max-length", "1", "--sigma", "2"), "1"),
+        (("--help",), ""),
+    ],
+    ids=["verify-buffered", "verify-unbuffered", "help-buffered"],
+)
+def test_a_closed_output_pipe_exits_one_without_a_traceback(argv, unbuffered):
+    # as under `nbhood verify | head -1`, with the reader gone before the
+    # first line: the write or the final flush fails, buffered or not
+    src = str(Path(nbhood.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nbhood", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, "")

@@ -25,6 +25,7 @@ from nbhood import (
     optimal_alignment,
 )
 from nbhood.distance import _banded, _dist, _exact, _pad, _prefix_table, _suffix_table
+from nbhood.neighborhood import _plain_dist
 
 A2 = alphabet_of_size(2)
 A3 = alphabet_of_size(3)
@@ -113,6 +114,12 @@ def test_mixed_alphabets_rejected():
 @given(short3, short3)
 def test_distance_matches_reference(a, b):
     assert levenshtein(_w(a), _w(b)) == _ref_dist(a, b)
+
+
+@given(short3, short3)
+def test_the_oracle_dp_matches_the_reference(a, b):
+    # the oracle reads each candidate as a tuple of letters
+    assert _plain_dist(tuple(a), b) == _ref_dist(a, b)
 
 
 @given(

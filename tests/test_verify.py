@@ -1,6 +1,11 @@
 """The cross-module verification sweep: scope control and failure reporting."""
-from nbhood import VerifyConfig, bound_table_rows, run_verification
-from nbhood.verify import EXPECTED_TABLE
+from dataclasses import replace
+
+import pytest
+
+from nbhood import ValidationError, VerifyConfig, bound_table_rows, run_verification
+from nbhood import distance, neighborhood
+from nbhood.verify import EXPECTED_TABLE, _Recorder, _step_oracle_equivalence
 
 TINY = VerifyConfig(
     max_length=3,
@@ -37,6 +42,8 @@ def test_tiny_sweep_passes_and_reports_each_step():
         assert line.endswith("ok")
     assert summary.cases_run == sum(s.cases for s in summary.steps)
     assert summary.elapsed > 0
+    assert all(s.seconds >= 0 for s in summary.steps)
+    assert sum(s.seconds for s in summary.steps) <= summary.elapsed
 
 
 def test_sweep_is_deterministic():
@@ -74,3 +81,28 @@ def test_per_sigma_length_caps():
     assert config.length_cap(2) == 6
     assert config.length_cap(3) == 4
     assert config.length_cap(4) == 4
+
+
+def test_repeated_alphabet_sizes_are_rejected():
+    for field in ("sigmas", "lemma_sigmas"):
+        with pytest.raises(ValidationError, match=f"^{field} must not repeat, got \\[2, 2\\]$"):
+            run_verification(replace(TINY, **{field: (2, 2)}))
+
+
+def test_the_oracle_step_sees_a_fault_in_the_row_kernel(monkeypatch):
+    # a symmetric fault, letters a and b comparing equal, reaches the
+    # automaton and the production distance alike; only an oracle with a
+    # DP of its own can tell
+    real = distance._row_step
+
+    def faulty(row, symbol, w, cap, free_start=False):
+        return real(row, symbol.replace("b", "a"), w.replace("b", "a"), cap, free_start)
+
+    monkeypatch.setattr(distance, "_row_step", faulty)
+    monkeypatch.setattr(neighborhood, "_row_step", faulty)
+    rec = _Recorder()
+    _step_oracle_equivalence(
+        VerifyConfig(max_length=2, max_dist=1, sigmas=(2,), spot_samples=0), rec
+    )
+    assert rec.cases == 6 * 2 * 3
+    assert rec.failures
