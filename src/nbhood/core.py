@@ -46,6 +46,10 @@ class Alphabet:
 
     symbols: tuple[str, ...]
     _rank: dict[str, int] = field(init=False, repr=False, compare=False)
+    _symbol_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    # symbol -> chr(rank), for str.translate: translated words compare as
+    # their rank tuples do, and a proper prefix still sorts first
+    _order: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.symbols:
@@ -61,6 +65,8 @@ class Alphabet:
                 # into an ad-hoc alphabet
                 raise ValidationError(f"symbol {c!r} is outside the a-z universe")
         object.__setattr__(self, "_rank", {c: i for i, c in enumerate(self.symbols)})
+        object.__setattr__(self, "_symbol_set", frozenset(self.symbols))
+        object.__setattr__(self, "_order", {ord(c): chr(i) for i, c in enumerate(self.symbols)})
 
     @property
     def size(self) -> int:
@@ -114,7 +120,9 @@ class Word:
 
     def __post_init__(self):
         require_alphabet(self.alphabet)
-        for c in self.text:
+        if self.alphabet._symbol_set.issuperset(self.text):
+            return
+        for c in self.text:  # only to name the first bad character
             if c not in self.alphabet:
                 raise ValidationError(
                     f"character {c!r} of {self.text!r} is not in alphabet {self.alphabet.spec()!r}"
@@ -246,9 +254,10 @@ class NeighborhoodResult:
         if self.words is not None:
             if self.count != len(self.words):
                 raise ValidationError("count disagrees with materialized word list")
-            keys = [w.sort_key for w in self.words]
-            if any(a >= b for a, b in zip(keys, keys[1:])):
+            # each member's ranks in its own alphabet, as sort_key gives them,
+            # compared as strings
+            keys = [w.text.translate(w.alphabet._order) for w in self.words]
+            if not all(map(str.__lt__, keys, keys[1:])):
                 raise ValidationError("word list is not strictly increasing in canonical order")
-            limit = len(self.query) + self.distance
-            if any(len(w) > limit for w in self.words):
+            if max(map(len, keys), default=0) > len(self.query) + self.distance:
                 raise ValidationError("member longer than |query| + d")

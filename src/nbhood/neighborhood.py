@@ -13,9 +13,10 @@ DP row of the word read so far, stepped by ``distance._row_step``.
 ``count`` makes a forward pass over the distinct states, one word length
 at a time, carrying how many words reach each state; the enumerators walk
 the word trie depth first with an explicit stack, carrying the state per
-node. For the super-condensed kind the state also carries a free-start
-(Sellers) row, which rejects a word as soon as one of its proper subwords
-comes within d of W. The brute-force oracle scans the candidate words
+node and expanding each distinct state once per call. For the
+super-condensed kind the state also carries a free-start (Sellers) row,
+which rejects a word as soon as one of its proper subwords comes within d
+of W. The brute-force oracle scans the candidate words
 once, with a textbook full-table DP of its own, keeps the full set, and
 takes the condensed and super-condensed sets from it by their
 definitions; it shares no DP code with the automaton, so tests and
@@ -137,11 +138,15 @@ def _members(w: Word, d: int, alphabet: Alphabet, kind: str) -> list[str]:
 
     An explicit stack keeps long words clear of the recursion limit.
     Children are pushed in reverse rank order, so the pops visit words in
-    pre-order by symbol rank, which is the canonical order.
+    pre-order by symbol rank, which is the canonical order. Many trie nodes
+    share a state, and the state alone decides the children, so each
+    distinct state is expanded once per call and its reversed children kept
+    for the next node that reaches it.
     """
     start, children = _automaton(w.text, d, alphabet.symbols, kind)
     n = len(w)
     out = []
+    expanded: dict[_State, list[tuple[str, _State]]] = {}
     stack = [("", start)]
     while stack:
         prefix, state = stack.pop()
@@ -149,7 +154,10 @@ def _members(w: Word, d: int, alphabet: Alphabet, kind: str) -> list[str]:
             out.append(prefix)
             if kind != KIND_FULL:
                 continue
-        stack.extend((prefix + symbol, child) for symbol, child in reversed(children(state)))
+        below = expanded.get(state)
+        if below is None:
+            below = expanded[state] = children(state)[::-1]
+        stack.extend((prefix + symbol, child) for symbol, child in below)
     return out
 
 
@@ -248,21 +256,29 @@ def _oracle(
     a member) and keeps the full set. The condensed and super-condensed
     sets are then its members with no proper prefix, and no proper
     contiguous subword, in it. Returns the canonically sorted texts keyed
-    by kind. Refuses instances whose candidate count s^(|w|+d+1) exceeds
-    the budget.
+    by kind. Refuses instances whose candidate count, the sum of s^L over
+    the scanned lengths L, exceeds the budget.
     """
     limit = resolve_budget(budget)
     s = alphabet.size
-    n = len(w)
-    max_len = n + d
-    if s ** (max_len + 1) > limit:
+    lengths = range(max(0, len(w) - d), len(w) + d + 1)
+    # the sum of s^L over the lengths, in closed form so a huge d costs
+    # one power instead of 2d + 1
+    if s == 1:
+        candidates = len(lengths)
+    else:
+        candidates = (s ** lengths.stop - s ** lengths.start) // (s - 1)
+    if candidates > limit:
+        # past a few thousand digits int -> str raises
+        bits = candidates.bit_length()
+        shown = candidates if bits <= 1000 else f"about 2^{bits - 1}"
         raise BudgetError(
-            f"oracle would scan about {s ** (max_len + 1)} candidates, over the "
+            f"oracle would scan {shown} candidates, over the "
             f"budget of {limit}; raise it explicitly to force the run"
         )
 
     full = set()
-    for length in range(max(0, n - d), max_len + 1):
+    for length in lengths:
         for chars in itertools.product(alphabet.symbols, repeat=length):
             if _plain_dist(chars, w.text) <= d:
                 full.add("".join(chars))
@@ -294,8 +310,8 @@ def brute_force_enumerate(
     One scan of the candidates finds the full neighborhood with the
     oracle's own textbook DP; the condensed and super-condensed sets are
     taken from it by their definitions, and this returns the requested
-    one (see ``_oracle``). Refuses instances whose candidate count
-    s^(|w|+d+1) exceeds the budget.
+    one (see ``_oracle``). Refuses instances whose candidate count, the
+    words of length |w|-d..|w|+d, exceeds the budget.
     """
     w = _query(w, d, alphabet, kind)
     return _result(w, d, kind, _oracle(w, d, alphabet, budget)[kind], alphabet)

@@ -326,12 +326,19 @@ def _step_unary_formulas(config: VerifyConfig, rec: _Recorder) -> None:
 def _step_bound_sandwich(config: VerifyConfig, rec: _Recorder) -> None:
     alphabet = alphabet_of_size(2)
     for wlen in range(1, config.sandwich_max_length + 1):
+        # the bounds depend on (wlen, d) only, not on the word
+        bounds = {
+            d: (
+                alignment_profile_bound(wlen, d, 2),
+                closed_form_bound_exact(wlen, d, 2).__floor__(),
+            )
+            for d in range(1, wlen)
+        }
         for chars in itertools.product(alphabet.symbols, repeat=wlen):
             word = make_word("".join(chars), alphabet)
             for d in range(1, wlen):
                 size = enumerate_condensed(word, d, alphabet).count
-                profile = alignment_profile_bound(wlen, d, 2)
-                floor = closed_form_bound_exact(wlen, d, 2).__floor__()
+                profile, floor = bounds[d]
                 rec.claim(
                     f"bound sandwich: W={word.text!r} d={d}",
                     size <= profile <= floor,

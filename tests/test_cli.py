@@ -148,6 +148,19 @@ def test_enum_oracle_budget_refusal(capsys):
     assert "budget" in err
 
 
+def test_enum_oracle_refusal_at_a_huge_distance_names_the_count(capsys):
+    # 2^0 + ... + 2^20002 candidates: far too many digits for int -> str
+    code, out, err = run_cli(
+        capsys, "enum", "--word", "ab", "--dist", "20000", "--sigma", "2", "--oracle",
+        "--budget", "100",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "nbhood: error: oracle would scan about 2^20002 candidates, over the "
+        "budget of 100; raise it explicitly to force the run\n"
+    )
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 @pytest.mark.parametrize(
     "command",

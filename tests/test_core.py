@@ -1,4 +1,6 @@
 """Domain types: alphabets, words, alignment columns, result records."""
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,8 +59,12 @@ def test_word_must_fit_alphabet():
     w = make_word("abba", a)
     assert len(w) == 4
     assert str(w) == "abba"
-    with pytest.raises(ValidationError):
-        make_word("abc", a)
+    # the set test passes a bad word to the letter loop, which names the
+    # first bad letter
+    for text, bad in (("abc", "c"), ("abzc", "z"), ("aab-", "-")):
+        message = f"character {bad!r} of {text!r} is not in alphabet 'ab'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make_word(text, a)
 
 
 def test_empty_word_is_allowed():
@@ -134,3 +140,41 @@ def test_count_only_result_carries_no_words():
 def test_bare_string_alphabet_gets_build_guidance():
     with pytest.raises(ValidationError, match="make_alphabet"):
         make_word("ab", "ab")
+
+
+def _listing(query, words, alphabet):
+    members = tuple(make_word(t, alphabet) for t in words)
+    return NeighborhoodResult(query, 2, KIND_FULL, len(members), members)
+
+
+def test_result_order_is_rank_order_not_character_code_order():
+    ba = make_alphabet("ba")
+    q = make_word("ba", ba)
+    # sorted by character code, but "b" ranks before "a" here
+    with pytest.raises(ValidationError, match="not strictly increasing"):
+        _listing(q, ("a", "ab", "b"), ba)
+    assert _listing(q, ("", "b", "bb", "ba", "a", "ab"), ba).count == 6
+    with pytest.raises(ValidationError, match="not strictly increasing"):
+        _listing(q, ("b", "ba", "ba"), ba)
+
+
+def test_result_members_are_ordered_by_their_own_alphabet():
+    # the query is over "ab" but the members are over "ba"
+    q = make_word("ab", make_alphabet("ab"))
+    ba = make_alphabet("ba")
+    assert _listing(q, ("b", "a"), ba).count == 2
+    with pytest.raises(ValidationError, match="not strictly increasing"):
+        _listing(q, ("a", "b"), ba)
+
+
+@given(st.lists(st.text(alphabet="ab", max_size=3), max_size=6))
+def test_result_order_check_is_the_rank_tuple_order(texts):
+    ba = make_alphabet("ba")
+    keys = [tuple(ba.rank(c) for c in t) for t in texts]
+    increasing = all(a < b for a, b in zip(keys, keys[1:]))
+    q = make_word("bab", ba)
+    if increasing:
+        assert _listing(q, texts, ba).count == len(texts)
+    else:
+        with pytest.raises(ValidationError, match="not strictly increasing"):
+            _listing(q, texts, ba)

@@ -27,6 +27,8 @@ from nbhood import (
 from nbhood.neighborhood import (
     BUDGET_ENV_VAR,
     DEFAULT_CANDIDATE_BUDGET,
+    _automaton,
+    _members,
     _oracle,
     resolve_budget,
 )
@@ -207,6 +209,51 @@ def test_count_matches_the_oracle(query, d):
         assert oracle[KIND_CONDENSED] == oracle[KIND_SUPER_CONDENSED] == [""]
 
 
+def _unmemoized_members(w, d, alphabet, kind):
+    """The listing walk expanding every trie node afresh, with no memo."""
+    start, children = _automaton(w.text, d, alphabet.symbols, kind)
+    out = []
+    stack = [("", start)]
+    while stack:
+        prefix, state = stack.pop()
+        if state[0][len(w)] <= d:
+            out.append(prefix)
+            if kind != KIND_FULL:
+                continue
+        stack.extend((prefix + symbol, child) for symbol, child in reversed(children(state)))
+    return out
+
+
+BA = make_alphabet("ba")
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just(A2), st.text(alphabet="ab", max_size=5)),
+        st.tuples(st.just(BA), st.text(alphabet="ab", max_size=5)),
+        st.tuples(st.just(A3), st.text(alphabet="abc", max_size=3)),
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+# unary words at d >= 2 reach one state at several depths
+@example((A2, "aaaa"), 2)
+@example((A2, "aaaaa"), 3)
+@example((BA, "bbbb"), 2)
+@example((A3, "aaa"), 3)
+# mixed words where free-start rows split states with one prefix row
+@example((A2, "abab"), 2)
+@example((BA, "abba"), 2)
+def test_the_memoized_walk_matches_the_plain_walk_and_the_oracle(query, d):
+    alphabet, text = query
+    w = make_word(text, alphabet)
+    oracle = _oracle(w, d, alphabet)
+    for kind in NEIGHBORHOOD_KINDS:
+        got = _members(w, d, alphabet, kind)
+        assert got == _unmemoized_members(w, d, alphabet, kind)
+        assert got == oracle[kind]
+
+
 def test_negative_distance_rejected():
     w = make_word("a", A2)
     with pytest.raises(RangeError):
@@ -232,10 +279,10 @@ def test_query_must_fit_the_enumeration_alphabet():
 
 def test_oracle_refuses_over_budget():
     w = make_word("aaaaa", A3)
-    with pytest.raises(BudgetError):
-        brute_force_enumerate(w, 3, A3, KIND_FULL, budget=10_000)
-    # 3^(5+3+1) = 19683 candidates fit once the budget is raised
-    result = brute_force_enumerate(w, 3, A3, KIND_FULL, budget=20_000)
+    # the scan covers lengths 2..8: 3^2 + ... + 3^8 = 9837 candidates
+    with pytest.raises(BudgetError, match="oracle would scan 9837 candidates"):
+        brute_force_enumerate(w, 3, A3, KIND_FULL, budget=9_836)
+    result = brute_force_enumerate(w, 3, A3, KIND_FULL, budget=9_837)
     assert result.count == count(w, 3, A3, KIND_FULL)
 
 
