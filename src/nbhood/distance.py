@@ -21,10 +21,11 @@ alignment optimal.
 On long words at a small distance the folds step only the band of cells
 within the cap of the diagonal (``_band_rows``, Ukkonen 1985). ``_exact``
 tries limits on d: a try whose band dies at row i restarts at the limit its
-rows would reach by the last row, and at least twice the old one. Both
-alignments pad the rows of the try that fit with d + 1 instead of folding
-the prefix table again, and ``optimal_alignment`` takes the first optimal
-step at each cell of the reversed words. Short words, as in ``verify``,
+rows would reach by the last row, and at least twice the old one. Each
+alignment folds once, the reversed words, and pads the rows of the try that
+fit with d + 1 into its suffix table (``_optimal_suffix_table``). The
+leftmost alignment then works only on the cells of optimal paths, found by
+walking their steps from the first cell. Short words, as in ``verify``,
 keep the plain fold, which is faster there.
 """
 from __future__ import annotations
@@ -175,35 +176,33 @@ def levenshtein(u: Word, v: Word) -> int:
     return _exact(u.text, v.text)[0]
 
 
-def _pad(rows, n: int, cap: int) -> list[tuple[int, ...]]:
-    """Rows of n + 1 cells from the rows (lo, cells) of a band, cap outside it."""
-    return [(cap,) * lo + row + (cap,) * (n + 1 - lo - len(row)) for lo, row in rows]
+def _optimal_suffix_table(a: str, b: str) -> list[tuple[int, ...]]:
+    """sfx[i][j] = distance between a[i:] and b[j:], from one fold; d = sfx[0][0].
 
-
-def _prefix_table(a: str, b: str, cap: int | None = None) -> list[tuple[int, ...]]:
-    """dp[i][j] = min(distance between a[:i] and b[:j], cap).
-
-    Without ``cap`` every cell is exact. A cap must exceed
-    |len(a) - len(b)|; the band is folded when it is well narrower than
-    the row, and the cells outside it are filled with cap.
+    The rows of ``_exact`` on the reversed words, padded with d + 1 outside
+    their band and read backwards: each cell is exact up to d and above d
+    otherwise, which is all ``_optimal_steps`` needs on an optimal path.
     """
-    n = len(b)
-    if cap is None:
-        cap = len(a) + n + 1  # above every distance in the table
-    elif _banded(cap, n):
-        return _pad(_band_rows(a, b, cap), n, cap)
-    dp = [tuple(range(min(cap, n + 1))) + (cap,) * (n + 1 - cap)]
+    d, rows = _exact(a[::-1], b[::-1])
+    n, cap = len(b), d + 1
+    return [
+        ((cap,) * lo + row + (cap,) * (n + 1 - lo - len(row)))[::-1]
+        for lo, row in reversed(rows)
+    ]
+
+
+def _prefix_table(a: str, b: str) -> list[tuple[int, ...]]:
+    """dp[i][j] = distance between a[:i] and b[:j], every cell exact."""
+    cap = len(a) + len(b) + 1  # above every distance in the table
+    dp = [tuple(range(len(b) + 1))]
     for symbol in a:
         dp.append(_row_step(dp[-1], symbol, b, cap))
     return dp
 
 
-def _suffix_table(a: str, b: str, cap: int | None = None) -> list[tuple[int, ...]]:
-    """sfx[i][j] = min(distance between a[i:] and b[j:], cap).
-
-    The prefix table of the reversed strings, read backwards.
-    """
-    return [row[::-1] for row in reversed(_prefix_table(a[::-1], b[::-1], cap))]
+def _suffix_table(a: str, b: str) -> list[tuple[int, ...]]:
+    """sfx[i][j] = distance between a[i:] and b[j:]: the reversed prefix table."""
+    return [row[::-1] for row in reversed(_prefix_table(a[::-1], b[::-1]))]
 
 
 def _optimal_steps(a: str, b: str, sfx: list[tuple[int, ...]], i: int, j: int):
@@ -240,9 +239,8 @@ def optimal_alignment(u: Word, v: Word) -> Alignment:
     The reversed words' suffix table is the prefix table read backwards.
     """
     require_same_alphabet(u, v)
-    d, rows = _exact(u.text, v.text)
     a, b = u.text[::-1], v.text[::-1]
-    sfx = [row[::-1] for row in reversed(_pad(rows, len(b), d + 1))]
+    sfx = _optimal_suffix_table(a, b)
     cols: list[Column] = []
     i = j = 0
     while i < len(a) or j < len(b):
@@ -314,46 +312,48 @@ def leftmost_optimal_alignment(top: Word, bottom: Word) -> Alignment:
     match/mismatch column always does (any path that defers one is
     lexicographically larger), and the class-code prefix stored per cell
     settles the remaining ties. Exact, and checked against the exhaustive
-    enumeration in the test suite.
+    enumeration in the test suite. One fold gives the suffix table, and
+    only the cells of optimal paths, found by a walk from (0, 0), are
+    worked on; the sweep reuses the steps the walk kept.
     """
     require_same_alphabet(top, bottom)
     a, b = top.text, bottom.text
-    m, n = len(a), len(b)
-    d, rows = _exact(a, b)
-    dp = _pad(rows, n, d + 1)
-    sfx = _suffix_table(a, b, d + 1)
+    sfx = _optimal_suffix_table(a, b)
 
-    # Fewest diagonal (match/mismatch) steps over optimal completions of
-    # each cell that lies on an optimal path; such cells have |i - j| <= d.
-    kmin: list[list[int | None]] = [[None] * (n + 1) for _ in range(m + 1)]
-    kmin[m][n] = 0
-    for i in range(m, -1, -1):
-        for j in range(min(n, i + d), max(0, i - d) - 1, -1):
-            if (i, j) != (m, n) and dp[i][j] + sfx[i][j] == d:
-                kmin[i][j] = min(
-                    (code <= 1) + kmin[ni][nj]
-                    for code, (ni, nj) in _optimal_steps(a, b, sfx, i, j)
-                )
+    # The cells of optimal paths, each with its optimal steps, reached by
+    # walking those steps from (0, 0).
+    steps: dict[tuple[int, int], tuple] = {}
+    todo = [(0, 0)]
+    while todo:
+        cell = todo.pop()
+        if cell not in steps:
+            steps[cell] = out = tuple(_optimal_steps(a, b, sfx, *cell))
+            todo.extend(nxt for _, nxt in out)
 
-    k_total = kmin[0][0]
-    end = (m, n)
+    # Fewest diagonal (match/mismatch) steps over each cell's optimal
+    # completions; in reverse row-major order a cell's successors come first.
+    kmin: dict[tuple[int, int], int] = {}
+    for cell in sorted(steps, reverse=True):
+        kmin[cell] = min(((code <= 1) + kmin[nxt] for code, nxt in steps[cell]), default=0)
+
+    k_left = kmin[0, 0]
+    end = (len(a), len(b))
     # cell -> lexicographically smallest class-code prefix reaching it
     frontier: dict[tuple[int, int], tuple[int, ...]] = {(0, 0): ()}
-    k_used = 0
     while end not in frontier:
         diag_bucket: dict[tuple[int, int], tuple[int, ...]] = {}
         gap_bucket: dict[tuple[int, int], tuple[int, ...]] = {}
-        for (i, j), prefix in frontier.items():
-            for code, cell in _optimal_steps(a, b, sfx, i, j):
+        for cell, prefix in frontier.items():
+            for code, nxt in steps[cell]:
                 diag = code <= 1
-                if kmin[cell[0]][cell[1]] == k_total - k_used - diag:
+                if kmin[nxt] == k_left - diag:
                     bucket = diag_bucket if diag else gap_bucket
                     seq = prefix + (code,)
-                    if cell not in bucket or seq < bucket[cell]:
-                        bucket[cell] = seq
+                    if nxt not in bucket or seq < bucket[nxt]:
+                        bucket[nxt] = seq
         if diag_bucket:
             frontier = diag_bucket
-            k_used += 1
+            k_left -= 1
         else:
             frontier = gap_bucket
 

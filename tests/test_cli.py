@@ -1,4 +1,6 @@
 """Command-line surface: exit codes, output formats, file output."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nbhood
 from nbhood.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
@@ -59,6 +63,63 @@ def test_enum_text_lists_members(capsys):
     )
     assert code == EXIT_OK
     assert out == "aaa\naaba\nabaa\n"
+
+
+def _call(argv):
+    # in process, like run_cli, but without a pytest fixture, so that
+    # hypothesis can call it many times in one test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def dist_argvs(draw):
+    # two words of 0-40 letters over "abc", sometimes one with a letter from
+    # outside it, an alphabet that may or may not hold them, and the flags
+    word = st.text(alphabet="abc", max_size=40)
+    u, v = draw(word), draw(word)
+    if draw(st.booleans()):
+        stray = draw(st.sampled_from("dz! \u00e9"))
+        pos = draw(st.integers(0, len(u)))
+        u = u[:pos] + stray + u[pos:]
+    if draw(st.booleans()):
+        u, v = v, u
+    if draw(st.booleans()):
+        alphabet = ["--sigma", str(draw(st.integers(-1, 27)))]
+    else:
+        alphabet = ["--alphabet", draw(st.sampled_from(["abc", "cba", "ab", "abcd", "", "aab"]))]
+    flags = draw(st.lists(st.sampled_from(["--alignment", "--leftmost"]), unique=True))
+    return u, v, ["dist", u, v, *alphabet, *flags], flags
+
+
+@given(dist_argvs())
+def test_dist_argument_vectors_end_in_a_result_or_one_error_line(case):
+    u, v, argv, flags = case
+    code, out, err = _call(argv)
+    assert code in (EXIT_OK, EXIT_USAGE), (code, err)
+    assert "Traceback" not in out + err
+    if code == EXIT_USAGE:
+        assert out == ""
+        assert err.startswith("nbhood: error:") and err.endswith("\n"), err
+        assert err.count("\n") == 1, err
+        return
+    assert err == ""
+    lines = out.split("\n")
+    assert lines[-1] == "" and len(lines) == 2 + 2 * len(flags), out
+    d = int(lines[0])
+    for top, bottom in zip(lines[1:-1:2], lines[2:-1:2]):
+        # an empty alignment renders as two empty lines
+        tops, bottoms = top.split(" ") if top else [], bottom.split(" ") if bottom else []
+        assert len(tops) == len(bottoms)
+        assert all(t != "-" or b != "-" for t, b in zip(tops, bottoms))
+        assert "".join(t for t in tops if t != "-") == u
+        assert "".join(b for b in bottoms if b != "-") == v
+        assert sum(t != b for t, b in zip(tops, bottoms)) == d
 
 
 def test_enum_requires_an_alphabet(capsys):

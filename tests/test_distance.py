@@ -24,7 +24,14 @@ from nbhood import (
     mm_index_sequence,
     optimal_alignment,
 )
-from nbhood.distance import _banded, _dist, _exact, _pad, _prefix_table, _suffix_table
+from nbhood.distance import (
+    _banded,
+    _dist,
+    _exact,
+    _optimal_suffix_table,
+    _prefix_table,
+    _suffix_table,
+)
 from nbhood.neighborhood import _plain_dist
 
 A2 = alphabet_of_size(2)
@@ -80,15 +87,19 @@ def _ref_backtrack(a: str, b: str) -> tuple[Column, ...]:
 
 
 def _check_exact(a: str, b: str, exact: int) -> None:
-    # the rows of the fold that found d, padded as the alignments pad them:
-    # every cell exact up to d, and above d elsewhere
-    d, rows = _exact(a, b)
-    assert d == exact
-    dp, ref = _pad(rows, len(b), d + 1), _ref_prefix_dist(a, b)
-    assert [len(row) for row in dp] == [len(b) + 1] * (len(a) + 1)
-    for i, row in enumerate(dp):
-        for j, cell in enumerate(row):
-            assert min(cell, d + 1) == min(ref(i, j), d + 1), (i, j)
+    # the tables the alignments read: the rows of the fold that found d on
+    # the reversed words, padded with d + 1 and read backwards, so every
+    # cell is exact up to d and above d elsewhere. The leftmost alignment
+    # reads the one of (a, b), optimal_alignment that of the reversed pair.
+    assert _exact(a, b)[0] == exact
+    for x, y in ((a, b), (a[::-1], b[::-1])):
+        m, n = len(x), len(y)
+        sfx, ref = _optimal_suffix_table(x, y), _ref_prefix_dist(x[::-1], y[::-1])
+        assert [len(row) for row in sfx] == [n + 1] * (m + 1)
+        for i, row in enumerate(sfx):
+            for j, cell in enumerate(row):
+                true = ref(m - i, n - j)
+                assert cell == true if true <= exact else cell > exact, (x, i, j)
 
 
 def _w(text: str, alphabet=A3):
@@ -172,20 +183,12 @@ def test_the_band_matches_the_reference_on_long_near_pairs(pair):
     exact = _ref_dist(a, b)
     assert exact <= 4
     # the band is narrower than the row for every cap used below, so the
-    # banded fold, the cutoff's restarts and the saturated tables are all
-    # exercised
+    # banded fold, the cutoff's restarts and the padded suffix tables that
+    # both alignments read are all exercised
     assert all(_banded(cap, min(len(a), len(b))) for cap in range(1, 6))
     _check_exact(a, b, exact)
     for limit in range(5):
         assert _dist(a, b, limit) == min(exact, limit + 1), limit
-    cap = exact + 1
-    dp, sfx = _prefix_table(a, b, cap), _suffix_table(a, b, cap)
-    m, n = len(a), len(b)
-    ref_dp, ref_rev = _ref_prefix_dist(a, b), _ref_prefix_dist(a[::-1], b[::-1])
-    for i in range(m + 1):
-        for j in range(n + 1):
-            assert dp[i][j] == min(ref_dp(i, j), cap), (i, j)
-            assert sfx[i][j] == min(ref_rev(m - i, n - j), cap), (i, j)
     u, v = _w(a, A4), _w(b, A4)
     best = min(enumerate_optimal_alignments(u, v, max_len=44), key=alignment_order_key)
     assert alignment_order_key(leftmost_optimal_alignment(u, v)) == alignment_order_key(best)
@@ -223,6 +226,77 @@ def test_long_far_pairs_match_the_reference(pair):
         assert _dist(a, b, limit) == min(exact, limit + 1), limit
     for al in (optimal_alignment(u, v), leftmost_optimal_alignment(u, v)):
         assert (al.cost, al.top_text, al.bottom_text) == (exact, a, b)
+
+
+def _ref_leftmost_columns(a: str, b: str) -> tuple[Column, ...]:
+    """The leftmost alignment by the sweep over full, uncapped tables.
+
+    Fewest diagonal steps to the end for every cell with dp + sfx == d,
+    scanned over the whole table, then the level sweep with its own
+    statement of the optimal steps.
+    """
+    m, n = len(a), len(b)
+    dp, sfx = _prefix_table(a, b), _suffix_table(a, b)
+    d = dp[m][n]
+
+    def steps(i, j):
+        if i < m and j < n and (a[i] != b[j]) + sfx[i + 1][j + 1] == sfx[i][j]:
+            yield int(a[i] != b[j]), (i + 1, j + 1)
+        if i < m and sfx[i + 1][j] + 1 == sfx[i][j]:
+            yield 3, (i + 1, j)  # deletion
+        if j < n and sfx[i][j + 1] + 1 == sfx[i][j]:
+            yield 2, (i, j + 1)  # insertion
+
+    kmin = {(m, n): 0}
+    for i in range(m, -1, -1):
+        for j in range(n, -1, -1):
+            if (i, j) != (m, n) and dp[i][j] + sfx[i][j] == d:
+                kmin[i, j] = min((code <= 1) + kmin[c] for code, c in steps(i, j))
+    k_left, frontier = kmin[0, 0], {(0, 0): ()}
+    while (m, n) not in frontier:
+        diag, gap = {}, {}
+        for (i, j), prefix in frontier.items():
+            for code, c in steps(i, j):
+                if kmin[c] == k_left - (code <= 1):
+                    bucket, seq = (diag if code <= 1 else gap), prefix + (code,)
+                    if c not in bucket or seq < bucket[c]:
+                        bucket[c] = seq
+        frontier = diag or gap
+        k_left -= bool(diag)
+    cols, i, j = [], 0, 0
+    for code in frontier[m, n]:
+        top, bottom = (a[i] if code != 2 else None), (b[j] if code != 3 else None)
+        cols.append(Column(top, bottom))
+        i, j = i + (code != 2), j + (code != 3)
+    return tuple(cols)
+
+
+@st.composite
+def long_pairs(draw):
+    # a word of 60-200 letters, and either a copy of it with at most one
+    # edit in ten, or an unrelated word of 60-200 letters
+    letters = draw(st.sampled_from(("ab", "abc", "abcd")))
+    a = draw(st.text(alphabet=letters, min_size=60, max_size=200))
+    if draw(st.booleans()):
+        return a, draw(st.text(alphabet=letters, min_size=60, max_size=200))
+    b = list(a)
+    for _ in range(draw(st.integers(0, len(a) // 10))):
+        op = draw(st.sampled_from(("sub", "ins", "del")))
+        i = draw(st.integers(0, len(b) - 1))
+        if op == "del":
+            del b[i]
+        else:
+            b[i : i + (op == "sub")] = [draw(st.sampled_from(letters))]
+    return a, "".join(b)
+
+
+@given(long_pairs())
+def test_leftmost_matches_the_full_table_sweep_on_long_pairs(pair):
+    # too long for the exhaustive enumeration: the reference is the sweep
+    # over every cell of the uncapped tables, with its own step rule
+    a, b = pair
+    got = leftmost_optimal_alignment(_w(a, A4), _w(b, A4))
+    assert got.columns == _ref_leftmost_columns(a, b)
 
 
 @given(short3, short3, short3)
