@@ -348,6 +348,11 @@ def _run(argv: list[str] | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # counts are exact at any size, so lift int -> str's digit limit
+    # (Python 3.10.7 on; 0 is none) for the call, and give the caller's back
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         try:
             return _run(argv)
@@ -363,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -12,21 +12,20 @@ a total order and the result fully deterministic.
 The edit-distance DP is written once, in ``_row_step``: one letter of the
 row against the prefixes of a word, saturated at a cap, optionally with a
 free start (Sellers 1980). The neighborhood automaton steps its prefix and
-free-start rows with it. ``_dist`` folds it over one word with an early
-exit; the prefix table is the list of rows of the same fold, and the suffix
-table is the prefix table of the reversed words, read backwards.
+free-start rows with it. Here one fold steps it, ``_band_rows``: only the
+band of cells within the cap of the diagonal (Ukkonen 1985), which at a
+cap above every distance in the table is the whole row, every cell exact.
 ``_optimal_steps`` is likewise the one statement of which steps keep an
 alignment optimal.
 
-On long words at a small distance the folds step only the band of cells
-within the cap of the diagonal (``_band_rows``, Ukkonen 1985). ``_exact``
-tries limits on d: a try whose band dies at row i restarts at the limit its
-rows would reach by the last row, and at least twice the old one. Each
-alignment folds once, the reversed words, and pads the rows of the try that
-fit with d + 1 into its suffix table (``_optimal_suffix_table``). The
-leftmost alignment then works only on the cells of optimal paths, found by
-walking their steps from the first cell. Short words, as in ``verify``,
-keep the plain fold, which is faster there.
+``_dist`` folds with an early exit. ``_exact`` tries limits on d: a try
+whose band dies at row i restarts at the limit its rows would reach by the
+last row, and at least twice the old one. Where the band would not pay
+(short words, as in ``verify``, or a large d) both fold whole rows. Each
+alignment folds once, the reversed words, padded with d + 1 into its
+suffix table (``_optimal_suffix_table``), which the enumeration reads too.
+The leftmost alignment then works only on the cells of optimal paths,
+found by walking their steps from the first cell.
 """
 from __future__ import annotations
 
@@ -118,27 +117,20 @@ def _dist(a: str, b: str, limit: int) -> int:
 
     The result is the exact distance when it is <= limit and ``limit + 1``
     otherwise, which leaves every ``<= limit`` decision intact while
-    keeping cells small and enabling an early exit once a whole row
-    exceeds the limit. When the band is well narrower than the row, only
-    the band is folded.
+    enabling an early exit once a whole row exceeds the limit. When the
+    band is well narrower than the row, only the band is folded; else
+    whole rows, at a cap above every distance in the table.
     """
     if len(a) < len(b):
         a, b = b, a
     cap = limit + 1
     if len(a) - len(b) >= cap:
         return cap
-    if _banded(cap, len(b)):
-        for _, row in _band_rows(a, b, cap):
-            if min(row) == cap:
-                return cap
-        return row[-1]
-    # the first row may run past cap: the step saturates every row it makes
-    row = tuple(range(len(b) + 1))
-    for symbol in a:
-        row = _row_step(row, symbol, b, cap)
-        if min(row) == cap:
+    whole = len(a) + len(b) + 1
+    for _, row in _band_rows(a, b, cap if _banded(cap, len(b)) else whole):
+        if min(row) > limit:
             return cap
-    return row[-1]
+    return min(row[-1], cap)
 
 
 def _exact(a: str, b: str) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
@@ -153,7 +145,7 @@ def _exact(a: str, b: str) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     limit. A try that dies at row i, every cell above the limit, restarts
     at the limit its rows would reach by row len(a), ceil((limit + 1) *
     len(a) / i), and at least twice the old one. Once the band is no longer
-    well narrower than the row, the plain table is folded instead.
+    well narrower than the row, whole rows are folded, every cell exact.
     """
     m, n = len(a), len(b)
     limit = max(1, abs(m - n))
@@ -166,8 +158,8 @@ def _exact(a: str, b: str) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
         if row[-1] <= limit:
             return row[-1], rows
         limit = max(2 * limit, -(-(limit + 1) * m // (len(rows) - 1)))
-    dp = _prefix_table(a, b)
-    return dp[-1][-1], [(0, row) for row in dp]
+    rows = list(_band_rows(a, b, m + n + 1))
+    return rows[-1][1][-1], rows
 
 
 def levenshtein(u: Word, v: Word) -> int:
@@ -189,20 +181,6 @@ def _optimal_suffix_table(a: str, b: str) -> list[tuple[int, ...]]:
         ((cap,) * lo + row + (cap,) * (n + 1 - lo - len(row)))[::-1]
         for lo, row in reversed(rows)
     ]
-
-
-def _prefix_table(a: str, b: str) -> list[tuple[int, ...]]:
-    """dp[i][j] = distance between a[:i] and b[:j], every cell exact."""
-    cap = len(a) + len(b) + 1  # above every distance in the table
-    dp = [tuple(range(len(b) + 1))]
-    for symbol in a:
-        dp.append(_row_step(dp[-1], symbol, b, cap))
-    return dp
-
-
-def _suffix_table(a: str, b: str) -> list[tuple[int, ...]]:
-    """sfx[i][j] = distance between a[i:] and b[j:]: the reversed prefix table."""
-    return [row[::-1] for row in reversed(_prefix_table(a[::-1], b[::-1]))]
 
 
 def _optimal_steps(a: str, b: str, sfx: list[tuple[int, ...]], i: int, j: int):
@@ -265,7 +243,7 @@ def enumerate_optimal_alignments(
         )
     a, b = u.text, v.text
     m, n = len(a), len(b)
-    sfx = _suffix_table(a, b)
+    sfx = _optimal_suffix_table(a, b)
 
     out: list[Alignment] = []
     acc: list[Column] = []

@@ -11,14 +11,13 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    BudgetError,
     KIND_CONDENSED,
     KIND_SUPER_CONDENSED,
     RangeError,
     alphabet_of_size,
     make_word,
 )
-from .neighborhood import count, resolve_budget
+from .neighborhood import check_budget, count
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
@@ -68,12 +67,12 @@ def scan_extremal(
     alphabet = alphabet_of_size(s)
 
     if mode == MODE_EXHAUSTIVE:
-        limit = resolve_budget(budget)
-        if s**w > limit:
-            raise BudgetError(
-                f"exhaustive scan over {s ** w} words exceeds the budget of {limit}; "
-                f"use sampled mode or raise the budget"
-            )
+        check_budget(
+            s**w,
+            budget,
+            "exhaustive scan over {needed} words exceeds the budget of {limit}; "
+            "use sampled mode or raise the budget",
+        )
         texts = ("".join(chars) for chars in itertools.product(alphabet.symbols, repeat=w))
         used_seed = None
     elif mode == MODE_SAMPLED:

@@ -67,6 +67,16 @@ def resolve_budget(budget: int | None = None) -> int:
     return value
 
 
+def check_budget(needed: int, budget: int | None, refusal: str) -> None:
+    """Raise BudgetError, ``refusal`` formatted with needed and limit, past the budget."""
+    limit = resolve_budget(budget)
+    if needed > limit:
+        # past a few thousand digits int -> str raises
+        bits = needed.bit_length()
+        shown = needed if bits <= 1000 else f"about 2^{bits - 1}"
+        raise BudgetError(refusal.format(needed=shown, limit=limit))
+
+
 def _require_distance(d: int) -> None:
     if d < 0:
         raise RangeError(f"distance must be nonnegative, got {d}")
@@ -259,7 +269,6 @@ def _oracle(
     by kind. Refuses instances whose candidate count, the sum of s^L over
     the scanned lengths L, exceeds the budget.
     """
-    limit = resolve_budget(budget)
     s = alphabet.size
     lengths = range(max(0, len(w) - d), len(w) + d + 1)
     # the sum of s^L over the lengths, in closed form so a huge d costs
@@ -268,14 +277,12 @@ def _oracle(
         candidates = len(lengths)
     else:
         candidates = (s ** lengths.stop - s ** lengths.start) // (s - 1)
-    if candidates > limit:
-        # past a few thousand digits int -> str raises
-        bits = candidates.bit_length()
-        shown = candidates if bits <= 1000 else f"about 2^{bits - 1}"
-        raise BudgetError(
-            f"oracle would scan {shown} candidates, over the "
-            f"budget of {limit}; raise it explicitly to force the run"
-        )
+    check_budget(
+        candidates,
+        budget,
+        "oracle would scan {needed} candidates, over the budget of {limit}; "
+        "raise it explicitly to force the run",
+    )
 
     full = set()
     for length in lengths:

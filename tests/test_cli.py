@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, file output."""
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -8,11 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import nbhood
 from nbhood.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from nbhood.neighborhood import DEFAULT_CANDIDATE_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +79,12 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_one_error_line(out, err):
+    assert out == ""
+    assert err.startswith("nbhood: error:") and err.endswith("\n"), err
+    assert err.count("\n") == 1, err
+
+
 @st.composite
 def dist_argvs(draw):
     # two words of 0-40 letters over "abc", sometimes one with a letter from
@@ -104,9 +112,7 @@ def test_dist_argument_vectors_end_in_a_result_or_one_error_line(case):
     assert code in (EXIT_OK, EXIT_USAGE), (code, err)
     assert "Traceback" not in out + err
     if code == EXIT_USAGE:
-        assert out == ""
-        assert err.startswith("nbhood: error:") and err.endswith("\n"), err
-        assert err.count("\n") == 1, err
+        _assert_one_error_line(out, err)
         return
     assert err == ""
     lines = out.split("\n")
@@ -120,6 +126,129 @@ def test_dist_argument_vectors_end_in_a_result_or_one_error_line(case):
         assert "".join(t for t in tops if t != "-") == u
         assert "".join(b for b in bottoms if b != "-") == v
         assert sum(t != b for t, b in zip(tops, bottoms)) == d
+
+
+@st.composite
+def enum_argvs(draw):
+    # a word of 0-6 letters over "abc", sometimes with a letter from outside
+    # it, a distance, an alphabet that may or may not hold the word, and
+    # every kind, format and optional flag
+    word = draw(st.text(alphabet="abc", max_size=6))
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(word)))
+        word = word[:pos] + draw(st.sampled_from("dz! \u00e9")) + word[pos:]
+    d = draw(st.integers(-1, 4))
+    if draw(st.booleans()):
+        alphabet = ["--sigma", str(draw(st.integers(-1, 27)))]
+    else:
+        alphabet = ["--alphabet", draw(st.sampled_from(["abc", "cba", "ab", "abcd", "", "aab"]))]
+    kind = draw(st.sampled_from(nbhood.NEIGHBORHOOD_KINDS))
+    fmt = draw(st.sampled_from(["text", "json", "csv"]))
+    flags = draw(st.lists(st.sampled_from(["--count-only", "--oracle"]), unique=True))
+    budget = draw(st.sampled_from([None, 1, 10, 1000]))
+    if budget is not None:
+        flags += ["--budget", str(budget)]
+    argv = ["enum", "--word", word, "--dist", str(d), *alphabet, "--kind", kind,
+            "--format", fmt, *flags]
+    return word, d, alphabet, kind, fmt, flags, budget, argv
+
+
+@given(enum_argvs())
+def test_enum_argument_vectors_end_in_a_result_or_one_error_line(case):
+    word, d, (option, value), kind, fmt, flags, budget, argv = case
+    count_only = "--count-only" in flags
+    try:
+        if option == "--alphabet":
+            alphabet = nbhood.make_alphabet(value)
+        else:
+            alphabet = nbhood.alphabet_of_size(int(value))
+        w = nbhood.make_word(word, alphabet)
+        size = nbhood.count(w, d, alphabet, kind)
+    except (nbhood.ValidationError, nbhood.RangeError):
+        size = None
+    else:
+        # no query that runs long: an oracle scan that the budget lets
+        # through must be short, and so must a listing, which has no budget
+        if "--oracle" in flags:
+            scan = sum(alphabet.size**n for n in range(max(0, len(word) - d), len(word) + d + 1))
+            assume(scan <= 3000 or scan > (budget or DEFAULT_CANDIDATE_BUDGET))
+        elif not count_only:
+            assume(nbhood.count(w, d, alphabet, "full") <= 3000)
+    code, out, err = _call(argv)
+    assert code in (EXIT_OK, EXIT_USAGE), (code, err)
+    assert "Traceback" not in out + err
+    if code == EXIT_USAGE:
+        _assert_one_error_line(out, err)
+        return
+    assert err == "" and size is not None, err
+    if fmt == "json":
+        payload = json.loads(out)
+        members = payload.pop("words", None)
+        assert payload == {
+            "query": word,
+            "distance": d,
+            "alphabet": "".join(alphabet.symbols),
+            "kind": kind,
+            "count": str(size),
+        }
+        assert (members is None) == count_only
+    else:
+        if fmt == "csv":
+            header, out = out.split("\n", 1)
+            assert header == ("count" if count_only else "word")
+        members = out.split("\n")
+        assert members.pop() == "", out
+        if count_only:
+            assert members == [str(size)]
+    if not count_only:
+        assert len(set(members)) == len(members) == size
+
+
+@st.composite
+def extremal_argvs(draw):
+    # a length, distance and alphabet size from just below their ranges to
+    # past them, both kinds, both modes, and in sampled mode a sample count
+    # and maybe a seed
+    w, d, s = draw(st.integers(-1, 4)), draw(st.integers(-1, 4)), draw(st.integers(-1, 27))
+    kind = draw(st.sampled_from(["condensed", "super-condensed"]))
+    argv = ["extremal", "--length", str(w), "--dist", str(d), "--sigma", str(s), "--kind", kind]
+    mode = draw(st.sampled_from([None, "exhaustive", "sampled"]))
+    if mode is not None:
+        argv += ["--mode", mode]
+    if mode == "sampled":
+        argv += ["--samples", str(draw(st.integers(-1, 5)))]
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(st.integers(0, 9)))]
+    budget = draw(st.sampled_from([None, 1, 10, 1000]))
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    return w, d, s, kind, mode or "exhaustive", budget, argv
+
+
+@given(extremal_argvs())
+def test_extremal_argument_vectors_end_in_a_report_or_one_error_line(case):
+    w, d, s, kind, mode, budget, argv = case
+    if mode == "exhaustive" and w >= 1 and d >= 0 and 1 <= s <= 26:
+        # a scan that the budget lets through must be short
+        assume(s**w <= 64 or s**w > (budget or DEFAULT_CANDIDATE_BUDGET))
+    code, out, err = _call(argv)
+    assert code in (EXIT_OK, EXIT_USAGE), (code, err)
+    assert "Traceback" not in out + err
+    if code == EXIT_USAGE:
+        _assert_one_error_line(out, err)
+        return
+    assert err == ""
+    lines = out.split("\n")
+    assert len(lines) == 5 and lines[-1] == "", out
+    assert lines[0].endswith(f"length-{w} words, alphabet size {s}, distance {d}"), out
+    assert lines[1].startswith(f"mode: {mode}, "), out
+    if mode == "exhaustive":
+        assert lines[1].endswith(f"all {s**w} words"), out
+    alphabet = nbhood.alphabet_of_size(s)
+    for line, label in zip(lines[2:4], ("minimum", "maximum")):
+        # the first word named has the size printed
+        size, first = line.removeprefix(label + " ").split(":")[0], line.split("'")[1]
+        assert nbhood.count(nbhood.make_word(first, alphabet), d, alphabet, kind) == int(size)
 
 
 def test_enum_requires_an_alphabet(capsys):
@@ -220,6 +349,38 @@ def test_enum_oracle_refusal_at_a_huge_distance_names_the_count(capsys):
         "nbhood: error: oracle would scan about 2^20002 candidates, over the "
         "budget of 100; raise it explicitly to force the run\n"
     )
+
+
+def test_extremal_refusal_past_the_digit_limit_names_the_count(capsys):
+    code, out, err = run_cli(
+        capsys, "extremal", "--length", "20000", "--dist", "1", "--sigma", "2",
+        "--budget", "100",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "nbhood: error: exhaustive scan over about 2^20000 words exceeds the "
+        "budget of 100; use sampled mode or raise the budget\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enum_prints_counts_past_the_int_to_str_digit_limit(capsys, fmt):
+    # every binary word of length <= d + 1 but b^(d+1) is within d of "a":
+    # 2^(d+2) - 2 of them, 4,366 digits, past Python's default of 4,300
+    d = 14500
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, err = run_cli(
+        capsys, "enum", "--word", "a", "--dist", str(d), "--sigma", "2",
+        "--count-only", "--format", fmt,
+    )
+    assert limit() == before
+    assert (code, err) == (EXIT_OK, "")
+    digits = json.loads(out)["count"] if fmt == "json" else out.removesuffix("\n")
+    # decimal has no digit limit, so the expected digits need no lift
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5000
+        assert digits == str(decimal.Decimal(2) ** (d + 2) - 2)
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

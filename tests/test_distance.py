@@ -24,14 +24,7 @@ from nbhood import (
     mm_index_sequence,
     optimal_alignment,
 )
-from nbhood.distance import (
-    _banded,
-    _dist,
-    _exact,
-    _optimal_suffix_table,
-    _prefix_table,
-    _suffix_table,
-)
+from nbhood.distance import _band_rows, _banded, _dist, _exact, _optimal_suffix_table
 from nbhood.neighborhood import _plain_dist
 
 A2 = alphabet_of_size(2)
@@ -62,6 +55,25 @@ def _ref_prefix_dist(a: str, b: str):
 
 def _ref_dist(a: str, b: str) -> int:
     return _ref_prefix_dist(a, b)(len(a), len(b))
+
+
+def _ref_tables(a: str, b: str):
+    """Both full tables by plain loops over every cell, for words too long
+    for the recursion: dp[i][j] = dist(a[:i], b[:j]) and sfx[i][j] =
+    dist(a[i:], b[j:]), the first table of the reversed words read
+    backwards.
+    """
+
+    def prefix(x, y):
+        dp = [list(range(len(y) + 1))]
+        for i, p in enumerate(x, 1):
+            row = [i]
+            for j, q in enumerate(y, 1):
+                row.append(min(dp[-1][j] + 1, row[-1] + 1, dp[-1][j - 1] + (p != q)))
+            dp.append(row)
+        return dp
+
+    return prefix(a, b), [row[::-1] for row in reversed(prefix(a[::-1], b[::-1]))]
 
 
 def _ref_backtrack(a: str, b: str) -> tuple[Column, ...]:
@@ -143,16 +155,16 @@ def test_the_oracle_dp_matches_the_reference(a, b):
     )
 )
 def test_the_row_kernel_matches_the_reference_everywhere(case):
-    # every DP built on the one row step, cell by cell, against the recursion
+    # every DP built on the one row step, cell by cell, against the recursion:
+    # the whole-row fold that _dist and _exact take on short rows, of the
+    # words and of the reversed words, and the tables the alignments read
     alphabet, a, b = case
     m, n = len(a), len(b)
-    dp, sfx = _prefix_table(a, b), _suffix_table(a, b)
-    assert [len(row) for row in dp] == [n + 1] * (m + 1)
-    assert [len(row) for row in sfx] == [n + 1] * (m + 1)
-    for i in range(m + 1):
-        for j in range(n + 1):
-            assert dp[i][j] == _ref_dist(a[:i], b[:j]), (i, j)
-            assert sfx[i][j] == _ref_dist(a[i:], b[j:]), (i, j)
+    for x, y in ((a, b), (a[::-1], b[::-1])):
+        rows = list(_band_rows(x, y, m + n + 1))
+        assert [lo for lo, _ in rows] == [0] * (m + 1)
+        for i, (_, row) in enumerate(rows):
+            assert row == tuple(_ref_dist(x[:i], y[:j]) for j in range(n + 1)), (x, i)
     exact = _ref_dist(a, b)
     _check_exact(a, b, exact)
     for limit in range(4):
@@ -229,14 +241,14 @@ def test_long_far_pairs_match_the_reference(pair):
 
 
 def _ref_leftmost_columns(a: str, b: str) -> tuple[Column, ...]:
-    """The leftmost alignment by the sweep over full, uncapped tables.
+    """The leftmost alignment by the sweep over the full test-side tables.
 
     Fewest diagonal steps to the end for every cell with dp + sfx == d,
     scanned over the whole table, then the level sweep with its own
     statement of the optimal steps.
     """
     m, n = len(a), len(b)
-    dp, sfx = _prefix_table(a, b), _suffix_table(a, b)
+    dp, sfx = _ref_tables(a, b)
     d = dp[m][n]
 
     def steps(i, j):
@@ -293,7 +305,7 @@ def long_pairs(draw):
 @given(long_pairs())
 def test_leftmost_matches_the_full_table_sweep_on_long_pairs(pair):
     # too long for the exhaustive enumeration: the reference is the sweep
-    # over every cell of the uncapped tables, with its own step rule
+    # over every cell of the test-side tables, with its own step rule
     a, b = pair
     got = leftmost_optimal_alignment(_w(a, A4), _w(b, A4))
     assert got.columns == _ref_leftmost_columns(a, b)
@@ -328,6 +340,44 @@ def test_enumeration_is_exactly_the_optimal_set(a, b):
     keys = [alignment_order_key(al) for al in als]
     # the order key reconstructs the column classes, so it separates alignments
     assert len(set(keys)) == len(als)
+
+
+def _ref_optimal_path_count(a: str, b: str) -> int:
+    # paths from (0, 0) to the last cell whose every step keeps the cost
+    # left equal to the distance left, counted on the test-side table
+    m, n = len(a), len(b)
+    sfx = _ref_tables(a, b)[1]
+    paths = {(m, n): 1}
+    for i in range(m, -1, -1):
+        for j in range(n, -1, -1):
+            if (i, j) == (m, n):
+                continue
+            steps = []
+            if i < m and j < n:
+                steps.append((a[i] != b[j], i + 1, j + 1))
+            if i < m:
+                steps.append((1, i + 1, j))
+            if j < n:
+                steps.append((1, i, j + 1))
+            paths[i, j] = sum(
+                paths[ni, nj] for cost, ni, nj in steps if cost + sfx[ni][nj] == sfx[i][j]
+            )
+    return paths[0, 0]
+
+
+@given(
+    st.one_of(
+        st.tuples(st.text(alphabet="ab", max_size=6), st.text(alphabet="ab", max_size=6)),
+        st.tuples(short3, short3),
+        near_pairs(),
+    )
+)
+def test_enumeration_misses_no_optimal_alignment(pair):
+    # one alignment per optimal path: the enumeration is complete exactly
+    # when it returns as many distinct alignments as there are such paths
+    a, b = pair
+    als = enumerate_optimal_alignments(_w(a, A4), _w(b, A4), max_len=44)
+    assert len(set(als)) == len(als) == _ref_optimal_path_count(a, b)
 
 
 @given(st.text(alphabet="ab", max_size=5), st.text(alphabet="ab", max_size=5))

@@ -61,6 +61,9 @@ def test_scan_supports_other_kinds():
 def test_exhaustive_scan_respects_the_budget():
     with pytest.raises(BudgetError):
         scan_extremal(10, 1, 2, budget=1000)
+    # 2^20000 words: past int -> str's digit limit, so named by its bits
+    with pytest.raises(BudgetError, match=r"over about 2\^20000 words exceeds the budget"):
+        scan_extremal(20000, 1, 2)
     report = scan_extremal(10, 1, 2, mode=MODE_SAMPLED, samples=5, budget=1000)
     assert report.scanned <= 5
 
