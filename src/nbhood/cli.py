@@ -28,8 +28,8 @@ from .core import (
 )
 from .counting import (
     alignment_profile_bound,
-    bound_report,
     bound_table_rows,
+    closed_form_bound_exact,
     unary_condensed_count,
     unary_super_condensed_count,
 )
@@ -134,16 +134,11 @@ def cmd_formula(args) -> int:
 
 def cmd_bound(args) -> int:
     if args.kind == "f":
-        value = alignment_profile_bound(args.length, args.dist, args.sigma)
-        exact = Fraction(value)
+        exact = Fraction(alignment_profile_bound(args.length, args.dist, args.sigma))
     else:
-        report = bound_report(args.length, args.dist, args.sigma)
-        value = report.closed_form_floor
-        exact = report.closed_form_exact
-    if args.exact_rational:
-        print(f"{value} (exact {exact})")
-    else:
-        print(value)
+        exact = closed_form_bound_exact(args.length, args.dist, args.sigma)
+    value = exact.__floor__()
+    print(f"{value} (exact {exact})" if args.exact_rational else value)
     return EXIT_OK
 
 

@@ -22,10 +22,9 @@ alignment optimal.
 whose band dies at row i restarts at the limit its rows would reach by the
 last row, and at least twice the old one. Where the band would not pay
 (short words, as in ``verify``, or a large d) both fold whole rows. Each
-alignment folds once, the reversed words, padded with d + 1 into its
-suffix table (``_optimal_suffix_table``), which the enumeration reads too.
-The leftmost alignment then works only on the cells of optimal paths,
-found by walking their steps from the first cell.
+alignment reads the rows of ``_exact`` in place, band-shaped and forward,
+and walks optimal paths back from the last cell. The leftmost alignment
+then works only on the cells of optimal paths.
 """
 from __future__ import annotations
 
@@ -168,39 +167,31 @@ def levenshtein(u: Word, v: Word) -> int:
     return _exact(u.text, v.text)[0]
 
 
-def _optimal_suffix_table(a: str, b: str) -> list[tuple[int, ...]]:
-    """sfx[i][j] = distance between a[i:] and b[j:], from one fold; d = sfx[0][0].
+def _optimal_steps(a: str, b: str, rows, i: int, j: int):
+    """The steps into cell (i, j) of an optimal path that come from one.
 
-    The rows of ``_exact`` on the reversed words, padded with d + 1 outside
-    their band and read backwards: each cell is exact up to d and above d
-    otherwise, which is all ``_optimal_steps`` needs on an optimal path.
+    ``rows`` are those of ``_exact(a, b)``, and P(i, j) is ``cells[j - lo]``
+    inside row i's band and d + 1 outside it. Yields (class code, previous
+    cell): the diagonal step (match 0, mismatch 1), then the deletion, then
+    the insertion. As (i, j) lies on an optimal path, P(i, j) is exact, and
+    a step keeps the path optimal exactly when P of the cell it leaves plus
+    its cost equals P(i, j); a cell above d fails that as its true value does.
     """
-    d, rows = _exact(a[::-1], b[::-1])
-    n, cap = len(b), d + 1
-    return [
-        ((cap,) * lo + row + (cap,) * (n + 1 - lo - len(row)))[::-1]
-        for lo, row in reversed(rows)
-    ]
+    out = rows[-1][1][-1] + 1
 
+    def p(i: int, j: int) -> int:
+        lo, cells = rows[i]
+        return cells[j - lo] if lo <= j < lo + len(cells) else out
 
-def _optimal_steps(a: str, b: str, sfx: list[tuple[int, ...]], i: int, j: int):
-    """The steps from cell (i, j) of an optimal path that stay on one.
-
-    Yields (class code, next cell): the diagonal step (match 0, mismatch
-    1), then the deletion, then the insertion. As (i, j) lies on an optimal
-    path, a step stays on one exactly when its cost plus the distance left
-    after it equals the distance left at (i, j).
-    """
-    rest = sfx[i][j]
-    more_a, more_b = i < len(a), j < len(b)
-    if more_a and more_b:
-        c = int(a[i] != b[j])
-        if c + sfx[i + 1][j + 1] == rest:
-            yield c, (i + 1, j + 1)
-    if more_a and sfx[i + 1][j] + 1 == rest:
-        yield _CLASS_CODE[DELETION], (i + 1, j)
-    if more_b and sfx[i][j + 1] + 1 == rest:
-        yield _CLASS_CODE[INSERTION], (i, j + 1)
+    here = p(i, j)
+    if i and j:
+        c = int(a[i - 1] != b[j - 1])
+        if p(i - 1, j - 1) + c == here:
+            yield c, (i - 1, j - 1)
+    if i and p(i - 1, j) + 1 == here:
+        yield _CLASS_CODE[DELETION], (i - 1, j)
+    if j and p(i, j - 1) + 1 == here:
+        yield _CLASS_CODE[INSERTION], (i, j - 1)
 
 
 def _column(a: str, b: str, i: int, j: int, ni: int, nj: int) -> Column:
@@ -211,20 +202,19 @@ def _column(a: str, b: str, i: int, j: int, ni: int, nj: int) -> Column:
 def optimal_alignment(u: Word, v: Word) -> Alignment:
     """Some minimum-cost alignment with u on the top row and v on the bottom.
 
-    Walks the reversed words from their first cell, taking the first step
-    of ``_optimal_steps`` at each cell: the path that a backtrack through
-    the prefix table takes when it prefers the diagonal, then the deletion.
-    The reversed words' suffix table is the prefix table read backwards.
+    Backtracks from the last cell, taking the first step of
+    ``_optimal_steps`` at each cell: it prefers the diagonal, then the
+    deletion, then the insertion.
     """
     require_same_alphabet(u, v)
-    a, b = u.text[::-1], v.text[::-1]
-    sfx = _optimal_suffix_table(a, b)
+    a, b = u.text, v.text
+    rows = _exact(a, b)[1]
     cols: list[Column] = []
-    i = j = 0
-    while i < len(a) or j < len(b):
-        _, (ni, nj) = next(_optimal_steps(a, b, sfx, i, j))
-        cols.append(_column(a, b, i, j, ni, nj))
-        i, j = ni, nj
+    i, j = len(a), len(b)
+    while i or j:
+        _, (pi, pj) = next(_optimal_steps(a, b, rows, i, j))
+        cols.append(_column(a, b, pi, pj, i, j))
+        i, j = pi, pj
     return Alignment(tuple(reversed(cols)))
 
 
@@ -233,8 +223,8 @@ def enumerate_optimal_alignments(
 ) -> tuple[Alignment, ...]:
     """All distinct minimum-cost alignments between u (top) and v (bottom).
 
-    Exhaustive over the dynamic-programming path graph, so it refuses
-    inputs longer than ``max_len`` rather than truncating.
+    Exhaustive over the path graph, walked back from the last cell, so it
+    refuses inputs longer than ``max_len`` rather than truncating.
     """
     require_same_alphabet(u, v)
     if len(u) > max_len or len(v) > max_len:
@@ -242,22 +232,21 @@ def enumerate_optimal_alignments(
             f"alignment enumeration limited to words of length <= {max_len}"
         )
     a, b = u.text, v.text
-    m, n = len(a), len(b)
-    sfx = _optimal_suffix_table(a, b)
+    rows = _exact(a, b)[1]
 
     out: list[Alignment] = []
     acc: list[Column] = []
 
     def walk(i: int, j: int) -> None:
-        if i == m and j == n:
-            out.append(Alignment(tuple(acc)))
+        if not (i or j):
+            out.append(Alignment(tuple(reversed(acc))))
             return
-        for _, (ni, nj) in _optimal_steps(a, b, sfx, i, j):
-            acc.append(_column(a, b, i, j, ni, nj))
-            walk(ni, nj)
+        for _, (pi, pj) in _optimal_steps(a, b, rows, i, j):
+            acc.append(_column(a, b, pi, pj, i, j))
+            walk(pi, pj)
             acc.pop()
 
-    walk(0, 0)
+    walk(len(a), len(b))
     return tuple(out)
 
 
@@ -290,23 +279,25 @@ def leftmost_optimal_alignment(top: Word, bottom: Word) -> Alignment:
     match/mismatch column always does (any path that defers one is
     lexicographically larger), and the class-code prefix stored per cell
     settles the remaining ties. Exact, and checked against the exhaustive
-    enumeration in the test suite. One fold gives the suffix table, and
-    only the cells of optimal paths, found by a walk from (0, 0), are
-    worked on; the sweep reuses the steps the walk kept.
+    enumeration in the test suite. Only the cells of optimal paths, found
+    by walking their steps back from the last cell, are worked on; the walk
+    keeps each cell's onward steps for the sweep.
     """
     require_same_alphabet(top, bottom)
     a, b = top.text, bottom.text
-    sfx = _optimal_suffix_table(a, b)
+    rows = _exact(a, b)[1]
 
-    # The cells of optimal paths, each with its optimal steps, reached by
-    # walking those steps from (0, 0).
-    steps: dict[tuple[int, int], tuple] = {}
-    todo = [(0, 0)]
+    # The cells of optimal paths, each with its onward optimal steps,
+    # reached by walking the steps into them back from the last cell.
+    end = (len(a), len(b))
+    steps: dict[tuple[int, int], list] = {end: []}
+    todo = [end]
     while todo:
         cell = todo.pop()
-        if cell not in steps:
-            steps[cell] = out = tuple(_optimal_steps(a, b, sfx, *cell))
-            todo.extend(nxt for _, nxt in out)
+        for code, prev in _optimal_steps(a, b, rows, *cell):
+            if prev not in steps:
+                todo.append(prev)
+            steps.setdefault(prev, []).append((code, cell))
 
     # Fewest diagonal (match/mismatch) steps over each cell's optimal
     # completions; in reverse row-major order a cell's successors come first.
@@ -315,7 +306,6 @@ def leftmost_optimal_alignment(top: Word, bottom: Word) -> Alignment:
         kmin[cell] = min(((code <= 1) + kmin[nxt] for code, nxt in steps[cell]), default=0)
 
     k_left = kmin[0, 0]
-    end = (len(a), len(b))
     # cell -> lexicographically smallest class-code prefix reaching it
     frontier: dict[tuple[int, int], tuple[int, ...]] = {(0, 0): ()}
     while end not in frontier:

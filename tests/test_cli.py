@@ -3,9 +3,11 @@ import contextlib
 import decimal
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -249,6 +251,81 @@ def test_extremal_argument_vectors_end_in_a_report_or_one_error_line(case):
         # the first word named has the size printed
         size, first = line.removeprefix(label + " ").split(":")[0], line.split("'")[1]
         assert nbhood.count(nbhood.make_word(first, alphabet), d, alphabet, kind) == int(size)
+
+
+def _digits(n: int) -> str:
+    # str(n) past the int-to-str digit limit: decimal has none
+    return str(decimal.Decimal(n))
+
+
+def _binom(n: int, k: int) -> int:
+    # choosing nothing counts 1, an impossible choice 0
+    return 1 if k == 0 else math.comb(n, k) if 0 <= k <= n else 0
+
+
+def _formula_or_bound(kind: str, w: int, d: int, s: int):
+    """The value by its defining sum or closed form, None outside its range."""
+    if s < 1 or d < 0 or d > w or (kind == "f" and d == w):
+        return None
+    if kind in ("unary-cn", "unary-scn"):
+        shift = 1 if kind == "unary-cn" else 2
+        return Fraction(sum(
+            _binom(m - shift, d + m - w) * (s - 1) ** (d + m - w) for m in range(w - d, w + 1)
+        ))
+    if kind == "f":
+        return Fraction(sum(
+            _binom(w, i) * (s - 1) ** (d - i) * _binom(w - i - 1, j)
+            * _binom(w + d - 2 * i - 2 * j - 1, d - i - j)
+            for i in range(d + 1) for j in range(d - i + 1)
+        ))
+    return Fraction((2 * s - 1) ** d * w**d, math.factorial(d))
+
+
+@st.composite
+def formula_bound_argvs(draw):
+    # every formula and bound kind, a length, distance and alphabet size
+    # from just below their ranges to past them, and for bound the exact
+    # rational; bound f keeps d <= 60, its double sum being O(d^2) binomials
+    command, kind = draw(st.sampled_from(
+        [("formula", "unary-cn"), ("formula", "unary-scn"), ("bound", "f"), ("bound", "conjecture")]
+    ))
+    w = draw(st.integers(-1, 2000))
+    d = draw(st.integers(-1, min(w + 1, 60) if kind == "f" else w + 1))
+    s = draw(st.integers(-1, 27))
+    exact_rational = command == "bound" and draw(st.booleans())
+    argv = [command, kind, "--length", str(w), "--dist", str(d), "--sigma", str(s)]
+    return kind, w, d, s, exact_rational, argv + ["--exact-rational"] * exact_rational
+
+
+@given(formula_bound_argvs())
+def test_formula_and_bound_argument_vectors_end_in_the_value_or_one_error_line(case):
+    kind, w, d, s, exact_rational, argv = case
+    value = _formula_or_bound(kind, w, d, s)
+    code, out, err = _call(argv)
+    assert code == (EXIT_USAGE if value is None else EXIT_OK), (code, err)
+    if value is None:
+        _assert_one_error_line(out, err)
+        return
+    assert err == ""
+    text = _digits(math.floor(value))
+    if exact_rational:
+        exact = _digits(value.numerator)
+        if value.denominator != 1:
+            exact += "/" + _digits(value.denominator)
+        text += f" (exact {exact})"
+    assert out == text + "\n"
+
+
+def test_formula_and_bound_answer_large_queries_exactly(capsys):
+    code, out, err = run_cli(
+        capsys, "formula", "unary-cn", "--length", "16000", "--dist", "6000", "--sigma", "2"
+    )
+    assert (code, out, err) == (EXIT_OK, _digits(math.comb(16000, 6000)) + "\n", "")
+    code, out, err = run_cli(
+        capsys, "bound", "conjecture", "--length", "16000", "--dist", "6000", "--sigma", "3"
+    )
+    floor = 5**6000 * 16000**6000 // math.factorial(6000)
+    assert (code, out, err) == (EXIT_OK, _digits(floor) + "\n", "")
 
 
 def test_enum_requires_an_alphabet(capsys):

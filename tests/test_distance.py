@@ -24,7 +24,7 @@ from nbhood import (
     mm_index_sequence,
     optimal_alignment,
 )
-from nbhood.distance import _band_rows, _banded, _dist, _exact, _optimal_suffix_table
+from nbhood.distance import _band_rows, _banded, _dist, _exact
 from nbhood.neighborhood import _plain_dist
 
 A2 = alphabet_of_size(2)
@@ -99,19 +99,21 @@ def _ref_backtrack(a: str, b: str) -> tuple[Column, ...]:
 
 
 def _check_exact(a: str, b: str, exact: int) -> None:
-    # the tables the alignments read: the rows of the fold that found d on
-    # the reversed words, padded with d + 1 and read backwards, so every
-    # cell is exact up to d and above d elsewhere. The leftmost alignment
-    # reads the one of (a, b), optimal_alignment that of the reversed pair.
-    assert _exact(a, b)[0] == exact
-    for x, y in ((a, b), (a[::-1], b[::-1])):
-        m, n = len(x), len(y)
-        sfx, ref = _optimal_suffix_table(x, y), _ref_prefix_dist(x[::-1], y[::-1])
-        assert [len(row) for row in sfx] == [n + 1] * (m + 1)
-        for i, row in enumerate(sfx):
-            for j, cell in enumerate(row):
-                true = ref(m - i, n - j)
-                assert cell == true if true <= exact else cell > exact, (x, i, j)
+    # the one table the alignments read: the rows of the fold that found d,
+    # band-shaped, every cell in a band exact up to d and above d elsewhere,
+    # and every column outside a row's band above d
+    d, rows = _exact(a, b)
+    assert d == exact
+    ref = _ref_prefix_dist(a, b)
+    assert len(rows) == len(a) + 1
+    for i, (lo, row) in enumerate(rows):
+        for j in range(len(b) + 1):
+            true = ref(i, j)
+            if lo <= j < lo + len(row):
+                cell = row[j - lo]
+                assert cell == true if true <= exact else cell > exact, (i, j)
+            else:
+                assert true > exact, (i, j)
 
 
 def _w(text: str, alphabet=A3):
@@ -157,7 +159,7 @@ def test_the_oracle_dp_matches_the_reference(a, b):
 def test_the_row_kernel_matches_the_reference_everywhere(case):
     # every DP built on the one row step, cell by cell, against the recursion:
     # the whole-row fold that _dist and _exact take on short rows, of the
-    # words and of the reversed words, and the tables the alignments read
+    # words and of the reversed words, and the table the alignments read
     alphabet, a, b = case
     m, n = len(a), len(b)
     for x, y in ((a, b), (a[::-1], b[::-1])):
@@ -195,8 +197,8 @@ def test_the_band_matches_the_reference_on_long_near_pairs(pair):
     exact = _ref_dist(a, b)
     assert exact <= 4
     # the band is narrower than the row for every cap used below, so the
-    # banded fold, the cutoff's restarts and the padded suffix tables that
-    # both alignments read are all exercised
+    # banded fold, the cutoff's restarts and the band rows that the
+    # alignments read are all exercised
     assert all(_banded(cap, min(len(a), len(b))) for cap in range(1, 6))
     _check_exact(a, b, exact)
     for limit in range(5):
