@@ -4,10 +4,14 @@ Exit codes: 0 success, 1 usage or validation problem (or standard output
 closed by its reader), 2 verification failure. Counts in JSON output are
 decimal strings so arbitrary-precision values survive any consumer; CSV
 uses a header row, LF line endings, and UTF-8.
+
+The parser is built once per process, so in-process callers of ``main``
+reuse it.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -220,7 +224,8 @@ def cmd_extremal(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="nbhood", description=__doc__)
+    # the last paragraph of the docstring is for library callers, not --help
+    parser = _Parser(prog="nbhood", description=(__doc__ or "").rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("dist", help="Levenshtein distance between two words")
@@ -329,9 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use and kept: it holds no query data, parse_args makes
+    # a fresh namespace per call, and help reads the terminal width when it
+    # is printed. Each subcommand's func is bound here once, so patching a
+    # cmd_* function afterwards does not reach it.
+    return build_parser()
+
+
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "budget", None) is not None:
             # checked here for every route, also those that never spend it

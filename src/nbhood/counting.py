@@ -90,13 +90,24 @@ def alignment_profile_bound(w: int, d: int, s: int) -> int:
         raise RangeError(f"alphabet size must be at least 1, got {s}")
     if not 0 <= d < w:
         raise RangeError(f"need 0 <= distance < length, got d={d}, w={w}")
+    # The term at (i, j) is C(w, i) (s-1)^(d-i) C(w-i-1, j) C(w+d-2k-1, d-k)
+    # with k = i + j. Each binomial is updated from the one before it, and
+    # every division below is exact: C(N, K) -> C(N-1, K-1) -> C(N-2, K-1)
+    # gives the last factor for k + 1, and N - K = w - k - 1 >= 1 there.
+    last = [comb(w + d - 1, d)]
+    for k in range(d):
+        n, r = w + d - 2 * k - 1, d - k
+        last.append(last[k] * r // n * (n - r) // (n - 1))
     total = 0
+    outer = 1  # C(w, i)
     for i in range(d + 1):
-        inner = sum(
-            binom_ext(w - i - 1, j) * binom_ext(w + d - 2 * i - 2 * j - 1, d - i - j)
-            for j in range(d - i + 1)
-        )
-        total += binom_ext(w, i) * (s - 1) ** (d - i) * inner
+        inner = 0
+        pick = 1  # C(w-i-1, j)
+        for j in range(d - i + 1):
+            inner += pick * last[i + j]
+            pick = pick * (w - i - 1 - j) // (j + 1)
+        total += outer * (s - 1) ** (d - i) * inner
+        outer = outer * (w - i) // (i + 1)
     return total
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import nbhood
+from nbhood import cli
 from nbhood.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from nbhood.neighborhood import DEFAULT_CANDIDATE_BUDGET
 
@@ -687,3 +689,61 @@ def test_a_closed_output_pipe_exits_one_without_a_traceback(argv, unbuffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (EXIT_USAGE, "")
+
+
+def test_calls_in_one_process_share_a_parser_and_no_state():
+    first_enum = ["enum", "--word", "abba", "--dist", "2", "--sigma", "2", "--count-only"]
+    sequence = [
+        first_enum,
+        ["enum", "--word", "aba", "--dist", "1", "--sigma", "2", "--format", "json"],
+        ["dist", "align", "assign", "--leftmost"],
+        # a repeated append option: a default list kept between calls would
+        # turn the second call's sigmas into [2, 3, 2, 3], which is refused
+        ["verify", "--max-length", "1", "--sigma", "2", "--sigma", "3"],
+        ["verify", "--max-length", "1", "--sigma", "2", "--sigma", "3"],
+        ["enum", "--word", "ab", "--dist", "one", "--sigma", "2"],
+        first_enum,
+    ]
+    seen = {}
+    for argv in sequence:
+        code, out, err = _call(argv)
+        # verify's total line ends in its elapsed time, the one part that varies
+        result = (code, re.sub(r", [0-9.]+s\n\Z", ", <elapsed>s\n", out), err)
+        assert result == seen.setdefault(tuple(argv), result), argv
+    assert seen[tuple(first_enum)] == (EXIT_OK, "67\n", "")
+    assert seen[tuple(sequence[3])][0] == EXIT_OK
+    code, out, err = seen[tuple(sequence[5])]
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --dist: invalid int value: 'one'" in err
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
+
+
+def _help_text(parser, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == EXIT_OK
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command", [None, "dist", "enum", "formula", "bound", "table1", "verify", "extremal"]
+)
+def test_help_from_the_shared_parser_matches_a_fresh_one(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ([command] if command else []) + ["--help"]
+    code, out, err = _call(argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == _help_text(cli.build_parser(), argv)
+
+
+def test_help_reads_the_terminal_width_when_printed(monkeypatch):
+    texts = {}
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, texts[columns], _ = _call(["enum", "--help"])
+        assert code == EXIT_OK
+        assert texts[columns] == _help_text(cli.build_parser(), ["enum", "--help"])
+    assert texts["40"].count("\n") > texts["120"].count("\n")

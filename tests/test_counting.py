@@ -96,6 +96,22 @@ def test_profile_bound_values_and_range():
         alignment_profile_bound(4, 1, 0)
 
 
+def test_profile_bound_equals_its_double_sum():
+    # the defining sum over (i, j), one binomial product per term
+    def binom(n, k):
+        return 1 if k == 0 else comb(n, k) if 0 < k <= n else 0
+
+    for w in range(1, 30):
+        for d in range(w):
+            for s in (1, 2, 3):
+                expected = sum(
+                    binom(w, i) * (s - 1) ** (d - i) * binom(w - i - 1, j)
+                    * binom(w + d - 2 * i - 2 * j - 1, d - i - j)
+                    for i in range(d + 1) for j in range(d - i + 1)
+                )
+                assert alignment_profile_bound(w, d, s) == expected, (w, d, s)
+
+
 def test_closed_form_bound_is_exact():
     assert closed_form_bound_exact(8, 4, 2) == 13824
     assert closed_form_bound_exact(8, 5, 2) == Fraction(331776, 5)
