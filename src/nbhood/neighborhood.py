@@ -16,10 +16,12 @@ the word trie depth first with an explicit stack, carrying the state per
 node and expanding each distinct state once per call. For the
 super-condensed kind the state also carries a free-start (Sellers) row,
 which rejects a word as soon as one of its proper subwords comes within d
-of W. The brute-force oracle scans the candidate words
-once, with a textbook full-table DP of its own, keeps the full set, and
-takes the condensed and super-condensed sets from it by their
-definitions; it shares no DP code with the automaton, so tests and
+of W. The automaton steps every distinct row once per call and keeps the
+result until the call returns, so a call's memory grows with its distinct
+rows; nothing is kept across calls. The brute-force oracle scans the
+candidate words once, with a textbook full-table DP of its own, keeps the
+full set, and takes the condensed and super-condensed sets from it by
+their definitions; it shares no DP code with the automaton, so tests and
 ``verify`` can compare the two routes.
 """
 from __future__ import annotations
@@ -115,29 +117,50 @@ def _automaton(w: str, d: int, symbols: tuple[str, ...], kind: str):
     it stays one in every extension. Proper subwords starting at letter 0
     are prefixes, and the walk never expands a member for the condensed
     kinds. Depth needs no cap: past |w| + d every prefix-row cell is above d.
+
+    Each distinct row is stepped once per call: a prefix row's live
+    children, and a free-start row's step on each letter whose prefix
+    child lives, are memoized in this closure. A row met at several depths,
+    or shared by several state pairs, costs a lookup after its first step.
+    The memos grow with the call's distinct rows and go with the closure.
     """
     n = len(w)
     cap = d + 1
+    dead = (cap,) * (n + 1)
     sellers = kind == KIND_SUPER_CONDENSED
     start: _State = (
         tuple(min(j, cap) for j in range(n + 1)),
-        (cap,) * (n + 1) if sellers else None,
+        dead if sellers else None,
     )
+    # prefix row -> its live children, as states with no free-start row;
+    # (free row, letter) -> its step, or None when the step drops the child
+    live: dict[tuple[int, ...], tuple[tuple[str, _State], ...]] = {}
+    free_steps: dict[tuple[tuple[int, ...], str], tuple[int, ...] | None] = {}
 
-    def children(state: _State) -> list[tuple[str, _State]]:
+    def children(state: _State) -> Sequence[tuple[str, _State]]:
         row, free = state
+        below = live.get(row)
+        if below is None:
+            out = []
+            for symbol in symbols:
+                child = _row_step(row, symbol, w, cap)
+                if child != dead:
+                    out.append((symbol, (child, None)))
+            below = live[row] = tuple(out)
+        if not sellers:
+            return below
         out = []
-        for symbol in symbols:
-            child = _row_step(row, symbol, w, cap)
-            if min(child) > d:
-                continue
-            if sellers:
+        for symbol, (child, _) in below:
+            key = (free, symbol)
+            # the key stands for a miss: a stored step is a row or None
+            free_child = free_steps.get(key, key)
+            if free_child is key:
                 free_child = _row_step(free, symbol, w, cap, free_start=True)
                 if free_child[n] <= d:
-                    continue
+                    free_child = None
+                free_steps[key] = free_child
+            if free_child is not None:
                 out.append((symbol, (child, free_child)))
-            else:
-                out.append((symbol, (child, None)))
         return out
 
     return start, children
@@ -214,6 +237,9 @@ def count(w: Word, d: int, alphabet: Alphabet, kind: str) -> int:
     A forward pass over the distinct states of the DP automaton, one word
     length at a time: each level maps a state to the number of words that
     reach it, so the work grows with the distinct states, not the words.
+    The automaton steps each distinct row once per call, also when it
+    recurs at a later length; its memo, and so the call's memory, grows
+    with the distinct rows and is dropped when the call returns.
     """
     w = _query(w, d, alphabet, kind)
     start, children = _automaton(w.text, d, alphabet.symbols, kind)

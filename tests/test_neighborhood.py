@@ -24,10 +24,10 @@ from nbhood import (
     make_alphabet,
     make_word,
 )
+from nbhood import distance, neighborhood
 from nbhood.neighborhood import (
     BUDGET_ENV_VAR,
     DEFAULT_CANDIDATE_BUDGET,
-    _automaton,
     _members,
     _oracle,
     resolve_budget,
@@ -209,9 +209,42 @@ def test_count_matches_the_oracle(query, d):
         assert oracle[KIND_CONDENSED] == oracle[KIND_SUPER_CONDENSED] == [""]
 
 
+def _plain_automaton(w, d, symbols, kind):
+    """The automaton with no memo: every child steps both of its rows afresh.
+
+    Kept on the test side, with the drop rules written as plainly as they
+    read: a child goes when its prefix row is above d everywhere, or when
+    its free-start row comes within d at column |w|.
+    """
+    n = len(w)
+    cap = d + 1
+    sellers = kind == KIND_SUPER_CONDENSED
+    start = (
+        tuple(min(j, cap) for j in range(n + 1)),
+        (cap,) * (n + 1) if sellers else None,
+    )
+
+    def children(state):
+        row, free = state
+        out = []
+        for symbol in symbols:
+            child = distance._row_step(row, symbol, w, cap)
+            if min(child) > d:
+                continue
+            free_child = None
+            if sellers:
+                free_child = distance._row_step(free, symbol, w, cap, free_start=True)
+                if free_child[n] <= d:
+                    continue
+            out.append((symbol, (child, free_child)))
+        return out
+
+    return start, children
+
+
 def _unmemoized_members(w, d, alphabet, kind):
     """The listing walk expanding every trie node afresh, with no memo."""
-    start, children = _automaton(w.text, d, alphabet.symbols, kind)
+    start, children = _plain_automaton(w.text, d, alphabet.symbols, kind)
     out = []
     stack = [("", start)]
     while stack:
@@ -222,6 +255,24 @@ def _unmemoized_members(w, d, alphabet, kind):
                 continue
         stack.extend((prefix + symbol, child) for symbol, child in reversed(children(state)))
     return out
+
+
+def _unmemoized_count(w, d, alphabet, kind):
+    """count's forward pass, one word length at a time, over the plain automaton."""
+    start, children = _plain_automaton(w.text, d, alphabet.symbols, kind)
+    total = 0
+    level = {start: 1}
+    while level:
+        following = {}
+        for state, ways in level.items():
+            if state[0][len(w)] <= d:
+                total += ways
+                if kind != KIND_FULL:
+                    continue
+            for _, child in children(state):
+                following[child] = following.get(child, 0) + ways
+        level = following
+    return total
 
 
 BA = make_alphabet("ba")
@@ -252,6 +303,113 @@ def test_the_memoized_walk_matches_the_plain_walk_and_the_oracle(query, d):
         got = _members(w, d, alphabet, kind)
         assert got == _unmemoized_members(w, d, alphabet, kind)
         assert got == oracle[kind]
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just(A2), st.text(alphabet="ab", max_size=6)),
+        st.tuples(st.just(A3), st.text(alphabet="abc", max_size=4)),
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+# the free-start row after "b" equals the start's prefix row
+@example((A2, "ab"), 1)
+def test_children_match_the_plain_automaton_state_by_state(query, d):
+    # the walk stops at depth |w| + d + 1, where no state is live, so a memo
+    # that hands a prefix row a free-start step fails here and does not walk
+    # forever
+    alphabet, text = query
+    for kind in NEIGHBORHOOD_KINDS:
+        start, children = neighborhood._automaton(text, d, alphabet.symbols, kind)
+        _, plain = _plain_automaton(text, d, alphabet.symbols, kind)
+        level = [start]
+        for _ in range(len(text) + d + 2):
+            following = {}
+            for state in level:
+                got = children(state)
+                assert list(got) == plain(state)
+                following.update((child, None) for _, child in got)
+            level = list(following)
+        assert not level
+
+
+@settings(deadline=None, max_examples=4)
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda s: st.tuples(
+            st.just(alphabet_of_size(s)),
+            st.text(alphabet="abcd"[:s], min_size=20, max_size=60),
+        )
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+@example((A2, "ab" * 15), 4)
+@example((alphabet_of_size(4), "abcd" * 6), 2)
+def test_long_word_count_matches_the_plain_forward_pass(query, d):
+    # words past the oracle's reach, where a state recurs at many depths
+    # and the memo holds thousands of rows
+    alphabet, text = query
+    w = make_word(text, alphabet)
+    kinds = [KIND_FULL, KIND_CONDENSED]
+    # past d = 2 the long-word super-condensed walk has millions of states,
+    # seconds each even with the memo
+    if d <= 2:
+        kinds.append(KIND_SUPER_CONDENSED)
+    for kind in kinds:
+        assert count(w, d, alphabet, kind) == _unmemoized_count(w, d, alphabet, kind)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda s: st.tuples(
+            st.just(alphabet_of_size(s)),
+            st.text(alphabet="abcd"[:s], max_size=12),
+        )
+    ),
+    st.integers(min_value=0, max_value=2),
+)
+def test_listing_length_equals_count(query, d):
+    alphabet, text = query
+    w = make_word(text, alphabet)
+    for kind in NEIGHBORHOOD_KINDS:
+        assert len(_members(w, d, alphabet, kind)) == count(w, d, alphabet, kind)
+
+
+def _record_steps(monkeypatch):
+    """Patch the row step in both modules; return the (row, symbol, free_start) it sees."""
+    real = distance._row_step
+    steps = []
+
+    def recording(row, symbol, w, cap, free_start=False):
+        steps.append((row, symbol, free_start))
+        return real(row, symbol, w, cap, free_start)
+
+    monkeypatch.setattr(neighborhood, "_row_step", recording)
+    monkeypatch.setattr(distance, "_row_step", recording)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "text, d, s, kind",
+    [("abcabcab", 2, 3, KIND_SUPER_CONDENSED), ("aaaaaa", 2, 2, KIND_FULL)],
+)
+def test_each_row_is_stepped_once_per_call(monkeypatch, text, d, s, kind):
+    alphabet = alphabet_of_size(s)
+    w = make_word(text, alphabet)
+    steps = _record_steps(monkeypatch)
+    # the plain walk steps some row twice, so the cases can tell
+    _unmemoized_members(w, d, alphabet, kind)
+    assert len(set(steps)) < len(steps)
+    for walk in (count, _members):
+        steps.clear()
+        walk(w, d, alphabet, kind)
+        first = list(steps)
+        assert first and len(set(first)) == len(first)
+        # nothing is kept across calls: the same query steps its rows again
+        steps.clear()
+        walk(w, d, alphabet, kind)
+        assert steps == first
 
 
 def test_negative_distance_rejected():
