@@ -39,7 +39,7 @@ from .counting import (
 )
 from .distance import leftmost_optimal_alignment, levenshtein, optimal_alignment
 from .extremal import MODE_EXHAUSTIVE, MODE_SAMPLED, scan_extremal
-from .neighborhood import ENUMERATORS, brute_force_enumerate, count, resolve_budget
+from .neighborhood import _members, brute_force_enumerate, count, resolve_budget
 from .verify import VerifyConfig, run_verification
 
 EXIT_OK = 0
@@ -92,14 +92,14 @@ def cmd_dist(args) -> int:
 
 def _enum_payload(args, alphabet: Alphabet):
     w = make_word(args.word, alphabet)
-    if args.count_only and not args.oracle:
-        return w, count(w, args.dist, alphabet, args.kind), None
     if args.oracle:
         result = brute_force_enumerate(w, args.dist, alphabet, args.kind, budget=args.budget)
+        words = [x.text for x in result.words]
+    elif args.count_only:
+        return w, count(w, args.dist, alphabet, args.kind), None
     else:
-        result = ENUMERATORS[args.kind](w, args.dist, alphabet)
-    words = None if args.count_only else [x.text for x in result.words]
-    return w, result.count, words
+        words = _members(w, args.dist, alphabet, args.kind, budget=args.budget)
+    return w, len(words), None if args.count_only else words
 
 
 def cmd_enum(args) -> int:
@@ -258,7 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the brute-force oracle route instead of the trie enumerator",
     )
-    p.add_argument("--budget", type=int, help="candidate budget for the oracle route")
+    p.add_argument(
+        "--budget",
+        type=int,
+        help="candidates the oracle route may scan, and members a listing may hold",
+    )
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("formula", help="closed-form unary-word neighborhood counts")

@@ -11,16 +11,18 @@ Three nested variants of the distance-d neighborhood of a word W:
 Both production routes run on one automaton whose state is the saturated
 DP row of the word read so far, stepped by ``distance._row_step``.
 ``count`` makes a forward pass over the distinct states, one word length
-at a time, carrying how many words reach each state; the enumerators walk
-the word trie depth first with an explicit stack, carrying the state per
-node and expanding each distinct state once per call. For the
-super-condensed kind the state also carries a free-start (Sellers) row,
-which rejects a word as soon as one of its proper subwords comes within d
-of W. The automaton steps every distinct row once per call and keeps the
-result until the call returns, so a call's memory grows with its distinct
-rows; nothing is kept across calls. The brute-force oracle scans the
-candidate words once, with a textbook full-table DP of its own, keeps the
-full set, and takes the condensed and super-condensed sets from it by
+at a time, carrying how many words reach each state; ``_members``, the one
+listing walk, checks its query once and walks the word trie depth first
+with an explicit stack, carrying the state per node and keeping no memo
+of its own. For the super-condensed kind the state also carries a
+free-start (Sellers) row, which rejects a word as soon as one of its
+proper subwords comes within d of W. The automaton steps every distinct
+row once per call and keeps the result until the call returns, so a
+call's memory grows with its distinct rows; nothing is kept across calls.
+The public enumerators build the checked result records from the walk's
+texts; the CLI and ``verify`` read the texts. The brute-force oracle scans
+the candidate words once, with a textbook full-table DP of its own, keeps
+the full set, and takes the condensed and super-condensed sets from it by
 their definitions; it shares no DP code with the automaton, so tests and
 ``verify`` can compare the two routes.
 """
@@ -166,20 +168,43 @@ def _automaton(w: str, d: int, symbols: tuple[str, ...], kind: str):
     return start, children
 
 
-def _members(w: Word, d: int, alphabet: Alphabet, kind: str) -> list[str]:
-    """Depth-first walk of the word trie in canonical word order.
+def _candidates(n: int, d: int, s: int) -> int:
+    """Words of length n-d..n+d over s letters: the sum of s^L over those lengths.
 
-    An explicit stack keeps long words clear of the recursion limit.
-    Children are pushed in reverse rank order, so the pops visit words in
-    pre-order by symbol rank, which is the canonical order. Many trie nodes
-    share a state, and the state alone decides the children, so each
-    distinct state is expanded once per call and its reversed children kept
-    for the next node that reaches it.
+    Every member of a distance-d neighborhood of an n-letter word is one of
+    them. In closed form, so a huge d costs one power instead of 2d + 1.
     """
+    low, high = max(0, n - d), n + d + 1
+    if s == 1:
+        return high - low
+    return (s**high - s**low) // (s - 1)
+
+
+def _members(
+    w: Word, d: int, alphabet: Alphabet, kind: str, budget: int | None = None
+) -> list[str]:
+    """The requested neighborhood's texts, by a depth-first walk of the word trie.
+
+    The query is checked here, once. A listing that could hold more words
+    than the budget, by the candidate count, is counted first, and refused
+    when its exact member count is over the budget; one that fits runs no
+    count. An explicit stack keeps long words clear of the recursion limit.
+    Children are pushed in reverse rank order, so the pops visit words in
+    pre-order by symbol rank, which is the canonical order. The walk keeps
+    no memo of its own: the automaton already steps each distinct row once
+    per call and hands back its children.
+    """
+    w = _query(w, d, alphabet, kind)
+    if _candidates(len(w), d, alphabet.size) > resolve_budget(budget):
+        check_budget(
+            count(w, d, alphabet, kind),
+            budget,
+            "listing would hold {needed} members, over the budget of {limit}; "
+            "raise it explicitly to force the run",
+        )
     start, children = _automaton(w.text, d, alphabet.symbols, kind)
     n = len(w)
     out = []
-    expanded: dict[_State, list[tuple[str, _State]]] = {}
     stack = [("", start)]
     while stack:
         prefix, state = stack.pop()
@@ -187,10 +212,7 @@ def _members(w: Word, d: int, alphabet: Alphabet, kind: str) -> list[str]:
             out.append(prefix)
             if kind != KIND_FULL:
                 continue
-        below = expanded.get(state)
-        if below is None:
-            below = expanded[state] = children(state)[::-1]
-        stack.extend((prefix + symbol, child) for symbol, child in below)
+        stack.extend((prefix + symbol, child) for symbol, child in reversed(children(state)))
     return out
 
 
@@ -204,8 +226,8 @@ def _result(
 
 
 def _enumerate(w: Word, d: int, alphabet: Alphabet, kind: str) -> NeighborhoodResult:
-    w = _query(w, d, alphabet, kind)
-    return _result(w, d, kind, _members(w, d, alphabet, kind), alphabet)
+    texts = _members(w, d, alphabet, kind)
+    return _result(make_word(w.text, alphabet), d, kind, texts, alphabet)
 
 
 def enumerate_full(w: Word, d: int, alphabet: Alphabet) -> NeighborhoodResult:
@@ -221,14 +243,6 @@ def enumerate_condensed(w: Word, d: int, alphabet: Alphabet) -> NeighborhoodResu
 def enumerate_super_condensed(w: Word, d: int, alphabet: Alphabet) -> NeighborhoodResult:
     """Members of the full neighborhood with no proper contiguous subword in it."""
     return _enumerate(w, d, alphabet, KIND_SUPER_CONDENSED)
-
-
-# the enumerator of each kind, in NEIGHBORHOOD_KINDS order
-ENUMERATORS = {
-    KIND_FULL: enumerate_full,
-    KIND_CONDENSED: enumerate_condensed,
-    KIND_SUPER_CONDENSED: enumerate_super_condensed,
-}
 
 
 def count(w: Word, d: int, alphabet: Alphabet, kind: str) -> int:
@@ -295,23 +309,15 @@ def _oracle(
     by kind. Refuses instances whose candidate count, the sum of s^L over
     the scanned lengths L, exceeds the budget.
     """
-    s = alphabet.size
-    lengths = range(max(0, len(w) - d), len(w) + d + 1)
-    # the sum of s^L over the lengths, in closed form so a huge d costs
-    # one power instead of 2d + 1
-    if s == 1:
-        candidates = len(lengths)
-    else:
-        candidates = (s ** lengths.stop - s ** lengths.start) // (s - 1)
     check_budget(
-        candidates,
+        _candidates(len(w), d, alphabet.size),
         budget,
         "oracle would scan {needed} candidates, over the budget of {limit}; "
         "raise it explicitly to force the run",
     )
 
     full = set()
-    for length in lengths:
+    for length in range(max(0, len(w) - d), len(w) + d + 1):
         for chars in itertools.product(alphabet.symbols, repeat=length):
             if _plain_dist(chars, w.text) <= d:
                 full.add("".join(chars))

@@ -1,7 +1,7 @@
 """Cross-module verification sweeps.
 
-Every check compares two independent routes to the same fact: trie
-enumerators against the literal set-difference oracle, closed-form counts
+Every check compares two independent routes to the same fact: the trie
+walk against the literal set-difference oracle, closed-form counts
 against enumeration, bounds against exhaustive neighborhood sizes, and
 the computed bound table against frozen reference values. A summary
 collects every failing case; an empty failure list is the pass signal.
@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from .core import (
     BudgetError,
     INSERTION,
+    KIND_CONDENSED,
+    KIND_SUPER_CONDENSED,
     MATCH,
     MISMATCH,
     NEIGHBORHOOD_KINDS,
@@ -40,13 +42,7 @@ from .distance import (
     leftmost_optimal_alignment,
     levenshtein,
 )
-from .neighborhood import (
-    ENUMERATORS,
-    _oracle,
-    enumerate_condensed,
-    enumerate_super_condensed,
-    resolve_budget,
-)
+from .neighborhood import _members, _oracle, count, resolve_budget
 
 # Frozen reference values for the bound table (panel "a": profile bound,
 # panel "b": closed-form floor; alphabet size 2). Recomputed independently
@@ -155,7 +151,7 @@ def _compare_with_oracle(
     budget: int | None,
     label: str = "",
 ) -> None:
-    """Check each kind's enumerator against one oracle scan of (w, d)."""
+    """Check each kind's listing walk against one oracle scan of (w, d)."""
     where = f"vs oracle{label}: W={w.text!r} d={d} s={w.alphabet.size}"
     try:
         want = _oracle(w, d, w.alphabet, budget)
@@ -165,8 +161,8 @@ def _compare_with_oracle(
             rec.claim(f"{kind} {where}", False, f"oracle refused: {exc}")
         return
     for kind in kinds:
-        got = ENUMERATORS[kind](w, d, w.alphabet)
-        rec.check(f"{kind} {where}", want[kind], [x.text for x in got.words])
+        # the oracle's budget covers the candidates, so the walk lists freely
+        rec.check(f"{kind} {where}", want[kind], _members(w, d, w.alphabet, kind, budget))
 
 
 def _step_oracle_equivalence(config: VerifyConfig, rec: _Recorder) -> None:
@@ -187,23 +183,15 @@ def _step_oracle_equivalence(config: VerifyConfig, rec: _Recorder) -> None:
 
 def _step_freeness(config: VerifyConfig, rec: _Recorder) -> None:
     for w, d in _case_sweep(config):
-        cn = enumerate_condensed(w, d, w.alphabet).words
-        texts = [x.text for x in cn]
-        clash = [
-            (a, b)
-            for a in texts
-            for b in texts
-            if a != b and b.startswith(a)
-        ]
+        cn = _members(w, d, w.alphabet, KIND_CONDENSED)
+        clash = [(a, b) for a in cn for b in cn if a != b and b.startswith(a)]
         rec.claim(
             f"condensed prefix-free: W={w.text!r} d={d} s={w.alphabet.size}",
             not clash,
             f"prefix pairs {clash[:3]}",
         )
-        scn = enumerate_super_condensed(w, d, w.alphabet).words
         bad = []
-        for x in scn:
-            t = x.text
+        for t in _members(w, d, w.alphabet, KIND_SUPER_CONDENSED):
             for i in range(len(t) + 1):
                 for j in range(i, len(t) + 1):
                     if (i, j) != (0, len(t)) and _dist(t[i:j], w.text, limit=d) <= d:
@@ -221,9 +209,9 @@ def _step_exact_distance(config: VerifyConfig, rec: _Recorder) -> None:
     for w, d in _case_sweep(config):
         if d < 1:
             continue
-        cn = enumerate_condensed(w, d, w.alphabet).words
+        cn = _members(w, d, w.alphabet, KIND_CONDENSED)
         if d <= len(w):
-            dists = {levenshtein(x, w) for x in cn}
+            dists = {levenshtein(make_word(x, w.alphabet), w) for x in cn}
             rec.claim(
                 f"condensed members at exact distance: W={w.text!r} d={d}",
                 dists == {d},
@@ -233,7 +221,7 @@ def _step_exact_distance(config: VerifyConfig, rec: _Recorder) -> None:
             rec.check(
                 f"condensed collapse past |W|: W={w.text!r} d={d}",
                 [""],
-                [x.text for x in cn],
+                cn,
             )
 
 
@@ -244,17 +232,17 @@ def _step_unary_structure(config: VerifyConfig, rec: _Recorder) -> None:
         for wlen in range(1, config.length_cap(s) + 1):
             word = make_word(sigma * wlen, alphabet)
             for d in range(1, wlen + 1):
-                cn = enumerate_condensed(word, d, alphabet).words
+                cn = _members(word, d, alphabet, KIND_CONDENSED)
                 ok = all(
                     len(x) <= wlen
-                    and x.text.count(sigma) == wlen - d
-                    and (not x.text or x.text[-1] == sigma)
+                    and x.count(sigma) == wlen - d
+                    and (not x or x[-1] == sigma)
                     for x in cn
                 )
                 rec.claim(
                     f"unary member structure: w={wlen} d={d} s={s}",
                     ok,
-                    f"members {[x.text for x in cn][:5]}",
+                    f"members {cn[:5]}",
                 )
 
 
@@ -273,7 +261,8 @@ def _step_leftmost_structure(config: VerifyConfig, rec: _Recorder) -> None:
     for w, d in _case_sweep(config):
         if d < 1:
             continue
-        for x in enumerate_condensed(w, d, w.alphabet).words:
+        for t in _members(w, d, w.alphabet, KIND_CONDENSED):
+            x = make_word(t, w.alphabet)
             a = leftmost_optimal_alignment(w, x)
             best = min(enumerate_optimal_alignments(w, x), key=alignment_order_key)
             rec.claim(
@@ -313,12 +302,12 @@ def _step_unary_formulas(config: VerifyConfig, rec: _Recorder) -> None:
             for d in range(1, wlen + 1):
                 rec.check(
                     f"unary condensed formula: w={wlen} d={d} s={s}",
-                    enumerate_condensed(word, d, alphabet).count,
+                    len(_members(word, d, alphabet, KIND_CONDENSED)),
                     unary_condensed_count(wlen, d, s),
                 )
                 rec.check(
                     f"unary super-condensed formula: w={wlen} d={d} s={s}",
-                    enumerate_super_condensed(word, d, alphabet).count,
+                    len(_members(word, d, alphabet, KIND_SUPER_CONDENSED)),
                     unary_super_condensed_count(wlen, d, s),
                 )
 
@@ -337,7 +326,7 @@ def _step_bound_sandwich(config: VerifyConfig, rec: _Recorder) -> None:
         for chars in itertools.product(alphabet.symbols, repeat=wlen):
             word = make_word("".join(chars), alphabet)
             for d in range(1, wlen):
-                size = enumerate_condensed(word, d, alphabet).count
+                size = count(word, d, alphabet, KIND_CONDENSED)
                 profile, floor = bounds[d]
                 rec.claim(
                     f"bound sandwich: W={word.text!r} d={d}",

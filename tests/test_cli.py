@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import nbhood
 from nbhood import cli
 from nbhood.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from nbhood.neighborhood import DEFAULT_CANDIDATE_BUDGET
+from nbhood.neighborhood import BUDGET_ENV_VAR, DEFAULT_CANDIDATE_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +161,7 @@ def enum_argvs(draw):
 def test_enum_argument_vectors_end_in_a_result_or_one_error_line(case):
     word, d, (option, value), kind, fmt, flags, budget, argv = case
     count_only = "--count-only" in flags
+    refusal = None
     try:
         if option == "--alphabet":
             alphabet = nbhood.make_alphabet(value)
@@ -171,16 +172,26 @@ def test_enum_argument_vectors_end_in_a_result_or_one_error_line(case):
     except (nbhood.ValidationError, nbhood.RangeError):
         size = None
     else:
-        # no query that runs long: an oracle scan that the budget lets
-        # through must be short, and so must a listing, which has no budget
+        # no query that runs long: an oracle scan, or a walk listing, that
+        # the budget lets through must be short
+        limit = budget or DEFAULT_CANDIDATE_BUDGET
         if "--oracle" in flags:
             scan = sum(alphabet.size**n for n in range(max(0, len(word) - d), len(word) + d + 1))
-            assume(scan <= 3000 or scan > (budget or DEFAULT_CANDIDATE_BUDGET))
+            assume(scan <= 3000 or scan > limit)
         elif not count_only:
-            assume(nbhood.count(w, d, alphabet, "full") <= 3000)
+            assume(nbhood.count(w, d, alphabet, "full") <= 3000 or size > limit)
+            # empty for a listing that fits
+            refusal = (
+                f"listing would hold {size} members, over the budget of {limit};"
+                if size > limit
+                else ""
+            )
     code, out, err = _call(argv)
     assert code in (EXIT_OK, EXIT_USAGE), (code, err)
     assert "Traceback" not in out + err
+    if refusal is not None:
+        # a walk listing is refused exactly when its member count is over budget
+        assert (code == EXIT_USAGE) == bool(refusal) and refusal in err, err
     if code == EXIT_USAGE:
         _assert_one_error_line(out, err)
         return
@@ -406,6 +417,74 @@ def test_enum_oracle_route_matches_the_enumerator(capsys):
     _, direct, _ = run_cli(capsys, *args)
     _, oracle, _ = run_cli(capsys, *args, "--oracle")
     assert direct == oracle
+
+
+ENUMERATE = {
+    "full": nbhood.enumerate_full,
+    "condensed": nbhood.enumerate_condensed,
+    "super-condensed": nbhood.enumerate_super_condensed,
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("kind", nbhood.NEIGHBORHOOD_KINDS)
+@pytest.mark.parametrize(
+    "word, d, sigma",
+    # the empty word, a unary word, d > |W|, a mixed ternary word
+    [("", 2, 2), ("aaa", 2, 2), ("ab", 3, 2), ("abcab", 2, 3)],
+)
+def test_enum_listing_matches_the_library_enumerator(capsys, fmt, kind, word, d, sigma):
+    # the CLI lists from the walk; the library builds checked records
+    alphabet = nbhood.alphabet_of_size(sigma)
+    result = ENUMERATE[kind](nbhood.make_word(word, alphabet), d, alphabet)
+    words = [x.text for x in result.words]
+    if fmt == "json":
+        payload = {
+            "query": word,
+            "distance": d,
+            "alphabet": "".join(alphabet.symbols),
+            "kind": kind,
+            "count": str(result.count),
+            "words": words,
+        }
+        expected = json.dumps(payload, indent=2) + "\n"
+    else:
+        expected = ("word\n" if fmt == "csv" else "") + "".join(t + "\n" for t in words)
+    code, out, err = run_cli(
+        capsys, "enum", "--word", word, "--dist", str(d), "--sigma", str(sigma),
+        "--kind", kind, "--format", fmt,
+    )
+    assert (code, out, err) == (EXIT_OK, expected, "")
+
+
+def test_enum_listing_refusal_names_the_exact_member_count(capsys, monkeypatch):
+    # far past the default budget; the refusal runs only the count
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    code, out, err = run_cli(
+        capsys, "enum", "--word", "abcabc", "--dist", "4", "--sigma", "26"
+    )
+    assert code == EXIT_USAGE
+    _assert_one_error_line(out, err)
+    assert err == (
+        "nbhood: error: listing would hold 345738060 members, over the budget "
+        f"of {DEFAULT_CANDIDATE_BUDGET}; raise it explicitly to force the run\n"
+    )
+
+
+@pytest.mark.parametrize("kind", nbhood.NEIGHBORHOOD_KINDS)
+def test_enum_listing_budget_is_the_member_count(capsys, kind):
+    args = ["enum", "--word", "abca", "--dist", "2", "--sigma", "3", "--kind", kind]
+    alphabet = nbhood.alphabet_of_size(3)
+    size = nbhood.count(nbhood.make_word("abca", alphabet), 2, alphabet, kind)
+    code, out, err = run_cli(capsys, *args, "--budget", str(size))
+    assert (code, err) == (EXIT_OK, "")
+    assert len(out.splitlines()) == size
+    code, out, err = run_cli(capsys, *args, "--budget", str(size - 1))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"nbhood: error: listing would hold {size} members, over the budget of "
+        f"{size - 1}; raise it explicitly to force the run\n"
+    )
 
 
 def test_enum_oracle_budget_refusal(capsys):

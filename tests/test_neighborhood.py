@@ -467,6 +467,33 @@ def test_resolve_budget_precedence(monkeypatch):
         resolve_budget(0)
 
 
+def test_listing_refuses_past_the_budget_by_its_member_count(monkeypatch):
+    w = make_word("aaaaa", A3)
+    size = count(w, 3, A3, KIND_FULL)
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(size - 1))
+    with pytest.raises(BudgetError, match=f"^listing would hold {size} members, "):
+        enumerate_full(w, 3, A3)
+    # an explicit budget beats the environment
+    assert len(_members(w, 3, A3, KIND_FULL, budget=size)) == size
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(size))
+    assert enumerate_full(w, 3, A3).count == size
+
+
+def test_a_listing_within_its_candidate_bound_runs_no_count(monkeypatch):
+    w = make_word("abc", A3)
+    # lengths 1..5 over three letters
+    candidates = 3 + 9 + 27 + 81 + 243
+
+    def no_count(*args):
+        raise AssertionError("count ran")
+
+    monkeypatch.setattr(neighborhood, "count", no_count)
+    for kind in NEIGHBORHOOD_KINDS:
+        assert _members(w, 2, A3, kind, budget=candidates) == _oracle(w, 2, A3)[kind]
+        with pytest.raises(AssertionError, match="count ran"):
+            _members(w, 2, A3, kind, budget=candidates - 1)
+
+
 def test_bare_string_query_gets_build_guidance():
     with pytest.raises(ValidationError, match="make_word"):
         enumerate_full("ab", 1, make_alphabet("ab"))
