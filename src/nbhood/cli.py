@@ -39,7 +39,7 @@ from .counting import (
 )
 from .distance import leftmost_optimal_alignment, levenshtein, optimal_alignment
 from .extremal import MODE_EXHAUSTIVE, MODE_SAMPLED, scan_extremal
-from .neighborhood import _members, brute_force_enumerate, count, resolve_budget
+from .neighborhood import _members, _oracle, _query, count, resolve_budget
 from .verify import VerifyConfig, run_verification
 
 EXIT_OK = 0
@@ -91,10 +91,9 @@ def cmd_dist(args) -> int:
 
 
 def _enum_payload(args, alphabet: Alphabet):
-    w = make_word(args.word, alphabet)
+    w = _query(make_word(args.word, alphabet), args.dist, alphabet, args.kind)
     if args.oracle:
-        result = brute_force_enumerate(w, args.dist, alphabet, args.kind, budget=args.budget)
-        words = [x.text for x in result.words]
+        words = _oracle(w, args.dist, alphabet, args.budget)[args.kind]
     elif args.count_only:
         return w, count(w, args.dist, alphabet, args.kind), None
     else:
@@ -332,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(MODE_EXHAUSTIVE, MODE_SAMPLED), default=MODE_EXHAUSTIVE)
     p.add_argument("--samples", type=int, default=200, help="draws in sampled mode")
     p.add_argument("--seed", type=int, help="seed for sampled mode")
-    p.add_argument("--budget", type=int, help="word budget for exhaustive mode")
+    p.add_argument("--budget", type=int, help="words, or sampled draws, the scan may count")
     p.set_defaults(func=cmd_extremal)
 
     return parser

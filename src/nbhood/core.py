@@ -6,7 +6,9 @@ use ``fractions.Fraction``.
 """
 from __future__ import annotations
 
+import operator
 import string
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 GAP = "-"
@@ -45,11 +47,10 @@ class Alphabet:
     """
 
     symbols: tuple[str, ...]
-    _rank: dict[str, int] = field(init=False, repr=False, compare=False)
     _symbol_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    # symbol -> chr(rank), for str.translate: translated words compare as
-    # their rank tuples do, and a proper prefix still sorts first
-    _order: dict[int, str] = field(init=False, repr=False, compare=False)
+    # the canonical-order key on texts: each symbol becomes chr(rank), so
+    # keys compare as the rank tuples do, and a proper prefix sorts first
+    _order: Callable[[str], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.symbols:
@@ -64,22 +65,21 @@ class Alphabet:
                 # makes bad CLI input fail loudly instead of being inferred
                 # into an ad-hoc alphabet
                 raise ValidationError(f"symbol {c!r} is outside the a-z universe")
-        object.__setattr__(self, "_rank", {c: i for i, c in enumerate(self.symbols)})
         object.__setattr__(self, "_symbol_set", frozenset(self.symbols))
-        object.__setattr__(self, "_order", {ord(c): chr(i) for i, c in enumerate(self.symbols)})
+        table = {ord(c): chr(i) for i, c in enumerate(self.symbols)}
+        object.__setattr__(self, "_order", operator.methodcaller("translate", table))
 
     @property
     def size(self) -> int:
         return len(self.symbols)
 
     def rank(self, char: str) -> int:
-        try:
-            return self._rank[char]
-        except KeyError:
-            raise ValidationError(f"character {char!r} is not in alphabet {self.spec()!r}") from None
+        if char not in self._symbol_set:
+            raise ValidationError(f"character {char!r} is not in alphabet {self.spec()!r}")
+        return self.symbols.index(char)
 
     def __contains__(self, char: str) -> bool:
-        return char in self._rank
+        return char in self._symbol_set
 
     def spec(self) -> str:
         return "".join(self.symbols)
@@ -152,7 +152,7 @@ def make_word(chars: str, alphabet: Alphabet) -> Word:
 
 def canonical_sorted(words) -> tuple[Word, ...]:
     """Sort words in canonical dictionary order (deterministic, idempotent)."""
-    return tuple(sorted(words, key=lambda w: w.sort_key))
+    return tuple(sorted(words, key=lambda w: w.alphabet._order(w.text)))
 
 
 def require_word(value) -> Word:
@@ -254,9 +254,8 @@ class NeighborhoodResult:
         if self.words is not None:
             if self.count != len(self.words):
                 raise ValidationError("count disagrees with materialized word list")
-            # each member's ranks in its own alphabet, as sort_key gives them,
-            # compared as strings
-            keys = [w.text.translate(w.alphabet._order) for w in self.words]
+            # each member in its own alphabet's order
+            keys = [w.alphabet._order(w.text) for w in self.words]
             if not all(map(str.__lt__, keys, keys[1:])):
                 raise ValidationError("word list is not strictly increasing in canonical order")
             if max(map(len, keys), default=0) > len(self.query) + self.distance:

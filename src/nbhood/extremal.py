@@ -54,9 +54,9 @@ def scan_extremal(
 ) -> ExtremalReport:
     """Scan words of length w for extremal neighborhood sizes.
 
-    Exhaustive mode covers all s^w words (refused when that exceeds the
-    budget); sampled mode scans ``samples`` seeded random draws, so its
-    extrema are evidence, not global facts.
+    Exhaustive mode covers all s^w words; sampled mode scans ``samples``
+    seeded random draws, so its extrema are evidence, not global facts.
+    Each mode is refused when its words, or its draws, exceed the budget.
     """
     if w < 1:
         raise RangeError(f"word length must be positive, got {w}")
@@ -78,13 +78,16 @@ def scan_extremal(
     elif mode == MODE_SAMPLED:
         if samples < 1:
             raise RangeError(f"need at least one sample, got {samples}")
+        check_budget(
+            samples, budget, "sampled scan of {needed} draws exceeds the budget of {limit}"
+        )
         used_seed = 0 if seed is None else seed
         rng = random.Random(used_seed)
         drawn = {
             "".join(rng.choice(alphabet.symbols) for _ in range(w))
             for _ in range(samples)
         }
-        texts = iter(sorted(drawn, key=lambda t: tuple(alphabet.rank(c) for c in t)))
+        texts = sorted(drawn, key=alphabet._order)
     else:
         raise RangeError(f"mode must be {MODE_EXHAUSTIVE!r} or {MODE_SAMPLED!r}")
 

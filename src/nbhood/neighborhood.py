@@ -19,12 +19,12 @@ free-start (Sellers) row, which rejects a word as soon as one of its
 proper subwords comes within d of W. The automaton steps every distinct
 row once per call and keeps the result until the call returns, so a
 call's memory grows with its distinct rows; nothing is kept across calls.
-The public enumerators build the checked result records from the walk's
-texts; the CLI and ``verify`` read the texts. The brute-force oracle scans
-the candidate words once, with a textbook full-table DP of its own, keeps
-the full set, and takes the condensed and super-condensed sets from it by
-their definitions; it shares no DP code with the automaton, so tests and
-``verify`` can compare the two routes.
+The public enumerators build checked result records from the texts of the
+walk or the oracle; the CLI and ``verify`` read the texts. The oracle scans
+the candidates once with a textbook full-table DP of its own, keeps the
+full set, and takes the condensed and super-condensed sets from it by their
+definitions. It shares no DP code with the automaton, so tests and ``verify``
+compare the two routes, and ``verify`` takes its distance facts from its DP.
 """
 from __future__ import annotations
 
@@ -322,7 +322,7 @@ def _oracle(
             if _plain_dist(chars, w.text) <= d:
                 full.add("".join(chars))
 
-    ordered = sorted(full, key=lambda t: tuple(alphabet.rank(c) for c in t))
+    ordered = sorted(full, key=alphabet._order)
     return {
         KIND_FULL: ordered,
         KIND_CONDENSED: [

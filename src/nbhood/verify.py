@@ -1,9 +1,9 @@
 """Cross-module verification sweeps.
 
 Every check compares two independent routes to the same fact: the trie
-walk against the literal set-difference oracle, closed-form counts
-against enumeration, bounds against exhaustive neighborhood sizes, and
-the computed bound table against frozen reference values. A summary
+walk against the literal set-difference oracle and its own DP, closed-form
+counts against enumeration, bounds against exhaustive neighborhood sizes,
+and the computed bound table against frozen reference values. A summary
 collects every failing case; an empty failure list is the pass signal.
 """
 from __future__ import annotations
@@ -36,13 +36,11 @@ from .counting import (
     unary_super_condensed_count,
 )
 from .distance import (
-    _dist,
     alignment_order_key,
     enumerate_optimal_alignments,
     leftmost_optimal_alignment,
-    levenshtein,
 )
-from .neighborhood import _members, _oracle, count, resolve_budget
+from .neighborhood import _members, _oracle, _plain_dist, count, resolve_budget
 
 # Frozen reference values for the bound table (panel "a": profile bound,
 # panel "b": closed-form floor; alphabet size 2). Recomputed independently
@@ -194,7 +192,7 @@ def _step_freeness(config: VerifyConfig, rec: _Recorder) -> None:
         for t in _members(w, d, w.alphabet, KIND_SUPER_CONDENSED):
             for i in range(len(t) + 1):
                 for j in range(i, len(t) + 1):
-                    if (i, j) != (0, len(t)) and _dist(t[i:j], w.text, limit=d) <= d:
+                    if (i, j) != (0, len(t)) and _plain_dist(t[i:j], w.text) <= d:
                         bad.append((t, t[i:j]))
         rec.claim(
             f"super-condensed subword-free: W={w.text!r} d={d} s={w.alphabet.size}",
@@ -211,7 +209,7 @@ def _step_exact_distance(config: VerifyConfig, rec: _Recorder) -> None:
             continue
         cn = _members(w, d, w.alphabet, KIND_CONDENSED)
         if d <= len(w):
-            dists = {levenshtein(make_word(x, w.alphabet), w) for x in cn}
+            dists = {_plain_dist(x, w.text) for x in cn}
             rec.claim(
                 f"condensed members at exact distance: W={w.text!r} d={d}",
                 dists == {d},

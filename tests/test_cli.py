@@ -521,6 +521,15 @@ def test_extremal_refusal_past_the_digit_limit_names_the_count(capsys):
     )
 
 
+def test_extremal_sampled_refusal_names_the_draws(capsys):
+    code, out, err = run_cli(
+        capsys, "extremal", "--length", "4", "--dist", "1", "--sigma", "2",
+        "--mode", "sampled", "--samples", "50", "--budget", "10",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "nbhood: error: sampled scan of 50 draws exceeds the budget of 10\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_enum_prints_counts_past_the_int_to_str_digit_limit(capsys, fmt):
     # every binary word of length <= d + 1 but b^(d+1) is within d of "a":

@@ -68,6 +68,13 @@ def test_exhaustive_scan_respects_the_budget():
     assert report.scanned <= 5
 
 
+def test_sampled_scan_spends_the_budget_on_its_draws():
+    # one count per draw, so the budget bounds the draws
+    with pytest.raises(BudgetError, match=r"^sampled scan of 6 draws exceeds the budget of 5$"):
+        scan_extremal(10, 1, 2, mode=MODE_SAMPLED, samples=6, budget=5)
+    assert scan_extremal(10, 1, 2, mode=MODE_SAMPLED, samples=5, budget=5).scanned <= 5
+
+
 def test_scan_parameter_validation():
     with pytest.raises(RangeError):
         scan_extremal(0, 1, 2)

@@ -5,7 +5,12 @@ import pytest
 
 from nbhood import ValidationError, VerifyConfig, bound_table_rows, run_verification
 from nbhood import distance, neighborhood
-from nbhood.verify import EXPECTED_TABLE, _Recorder, _step_oracle_equivalence
+from nbhood.verify import (
+    EXPECTED_TABLE,
+    _Recorder,
+    _step_exact_distance,
+    _step_oracle_equivalence,
+)
 
 TINY = VerifyConfig(
     max_length=3,
@@ -89,10 +94,10 @@ def test_repeated_alphabet_sizes_are_rejected():
             run_verification(replace(TINY, **{field: (2, 2)}))
 
 
-def test_the_oracle_step_sees_a_fault_in_the_row_kernel(monkeypatch):
-    # a symmetric fault, letters a and b comparing equal, reaches the
-    # automaton and the production distance alike; only an oracle with a
-    # DP of its own can tell
+def _patch_a_equals_b(monkeypatch):
+    # a symmetric fault, letters a and b comparing equal, that reaches the
+    # automaton and the production distance alike; only a DP of its own can
+    # tell
     real = distance._row_step
 
     def faulty(row, symbol, w, cap, free_start=False):
@@ -100,9 +105,26 @@ def test_the_oracle_step_sees_a_fault_in_the_row_kernel(monkeypatch):
 
     monkeypatch.setattr(distance, "_row_step", faulty)
     monkeypatch.setattr(neighborhood, "_row_step", faulty)
+
+
+def test_the_oracle_step_sees_a_fault_in_the_row_kernel(monkeypatch):
+    _patch_a_equals_b(monkeypatch)
     rec = _Recorder()
     _step_oracle_equivalence(
         VerifyConfig(max_length=2, max_dist=1, sigmas=(2,), spot_samples=0), rec
     )
     assert rec.cases == 6 * 2 * 3
+    assert rec.failures
+
+
+def test_the_exact_distance_step_sees_a_fault_in_the_row_kernel(monkeypatch):
+    # The walk lists condensed members the fault lets in, so their distance
+    # must come from the oracle's DP: the faulty production distance puts
+    # them at exactly d too. The freeness step cannot see this fault: the
+    # faulty neighborhood contains the true one, so a listed super-condensed
+    # member, with no proper subword in the faulty one, has none in the true.
+    _patch_a_equals_b(monkeypatch)
+    rec = _Recorder()
+    _step_exact_distance(VerifyConfig(max_length=2, max_dist=1, sigmas=(2,)), rec)
+    assert rec.cases == 6
     assert rec.failures
