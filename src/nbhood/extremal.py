@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .core import (
     KIND_CONDENSED,
     KIND_SUPER_CONDENSED,
+    Alphabet,
     RangeError,
     alphabet_of_size,
     make_word,
@@ -57,6 +58,12 @@ def scan_extremal(
     Exhaustive mode covers all s^w words; sampled mode scans ``samples``
     seeded random draws, so its extrema are evidence, not global facts.
     Each mode is refused when its words, or its draws, exceed the budget.
+
+    The exhaustive scan counts one word per symmetry orbit and lists every
+    member of the extremal orbits. Permuting the letters keeps the
+    Levenshtein distance, prefixes and factors, so it keeps both sizes.
+    Reversal keeps the distance and factors but swaps prefixes for
+    suffixes, so it joins the orbit for the super-condensed kind only.
     """
     if w < 1:
         raise RangeError(f"word length must be positive, got {w}")
@@ -73,7 +80,13 @@ def scan_extremal(
             "exhaustive scan over {needed} words exceeds the budget of {limit}; "
             "use sampled mode or raise the budget",
         )
-        texts = ("".join(chars) for chars in itertools.product(alphabet.symbols, repeat=w))
+        reversible = kind == KIND_SUPER_CONDENSED
+        texts = (
+            text
+            for text in map("".join, itertools.product(alphabet.symbols, repeat=w))
+            if _first_in_orbit(text, alphabet, reversible)
+        )
+        scanned = s**w
         used_seed = None
     elif mode == MODE_SAMPLED:
         if samples < 1:
@@ -88,16 +101,15 @@ def scan_extremal(
             for _ in range(samples)
         }
         texts = sorted(drawn, key=alphabet._order)
+        scanned = len(texts)
     else:
         raise RangeError(f"mode must be {MODE_EXHAUSTIVE!r} or {MODE_SAMPLED!r}")
 
-    scanned = 0
     min_count = max_count = -1
     min_words: list[str] = []
     max_words: list[str] = []
     for text in texts:
         size = count(make_word(text, alphabet), d, alphabet, kind)
-        scanned += 1
         if min_count < 0 or size < min_count:
             min_count, min_words = size, [text]
         elif size == min_count:
@@ -106,6 +118,9 @@ def scan_extremal(
             max_count, max_words = size, [text]
         elif size == max_count:
             max_words.append(text)
+    if mode == MODE_EXHAUSTIVE:
+        min_words = _orbits(min_words, alphabet, reversible)
+        max_words = _orbits(max_words, alphabet, reversible)
 
     return ExtremalReport(
         word_length=w,
@@ -120,3 +135,35 @@ def scan_extremal(
         max_count=max_count,
         max_words=tuple(max_words),
     )
+
+
+def _relabelled(text: str, symbols: str) -> str:
+    """text with its k-th new letter replaced by symbols[k]."""
+    letters = "".join(dict.fromkeys(text))
+    return text.translate(str.maketrans(letters, symbols[: len(letters)]))
+
+
+def _first_in_orbit(text: str, alphabet: Alphabet, reversible: bool) -> bool:
+    """Whether text comes first in its orbit in rank order.
+
+    Its letters first appear in rank order, so it is its own relabelling;
+    in a reversible orbit, its relabelled reversal does not come before it.
+    """
+    symbols = alphabet.spec()
+    if text != _relabelled(text, symbols):
+        return False
+    if not reversible:
+        return True
+    return alphabet._order(_relabelled(text[::-1], symbols)) >= alphabet._order(text)
+
+
+def _orbits(texts: list[str], alphabet: Alphabet, reversible: bool) -> list[str]:
+    """Every word in the orbits of texts, in rank order."""
+    words = set()
+    for text in texts:
+        for image in itertools.permutations(alphabet.symbols, len(set(text))):
+            word = _relabelled(text, "".join(image))
+            words.add(word)
+            if reversible:
+                words.add(word[::-1])
+    return sorted(words, key=alphabet._order)

@@ -2,6 +2,7 @@
 import contextlib
 import decimal
 import io
+import itertools
 import json
 import math
 import os
@@ -260,10 +261,19 @@ def test_extremal_argument_vectors_end_in_a_report_or_one_error_line(case):
     if mode == "exhaustive":
         assert lines[1].endswith(f"all {s**w} words"), out
     alphabet = nbhood.alphabet_of_size(s)
+    sizes = None
+    if mode == "exhaustive" and s**w <= 300:
+        texts = map("".join, itertools.product(alphabet.symbols, repeat=w))
+        sizes = {t: nbhood.count(nbhood.make_word(t, alphabet), d, alphabet, kind) for t in texts}
     for line, label in zip(lines[2:4], ("minimum", "maximum")):
         # the first word named has the size printed
         size, first = line.removeprefix(label + " ").split(":")[0], line.split("'")[1]
         assert nbhood.count(nbhood.make_word(first, alphabet), d, alphabet, kind) == int(size)
+        if sizes is not None:
+            # every word of that size, in rank order: 10 named, the rest counted
+            named = [t for t, v in sizes.items() if v == int(size)]
+            rest = f" (+{len(named) - 10} more)" if len(named) > 10 else ""
+            assert line == f"{label} {size}: " + ", ".join(map(repr, named[:10])) + rest, out
 
 
 def _digits(n: int) -> str:

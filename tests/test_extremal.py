@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from nbhood import (
+    KIND_CONDENSED,
     KIND_FULL,
     KIND_SUPER_CONDENSED,
     BudgetError,
@@ -13,7 +14,35 @@ from nbhood import (
     make_word,
     scan_extremal,
 )
-from nbhood.extremal import MODE_SAMPLED
+from nbhood.extremal import MODE_EXHAUSTIVE, MODE_SAMPLED, ExtremalReport
+
+# every cell with s 1-3, w 1-7, d 0-3 and s^w <= 300, and s = 4 with w <= 4
+_PLAIN_SCAN_CELLS = [
+    (s, w, d) for s in (1, 2, 3) for w in range(1, 8) for d in range(4) if s**w <= 300
+] + [(4, w, d) for w in range(1, 5) for d in range(4)]
+
+
+def _plain_scan(w: int, d: int, s: int, kind: str) -> ExtremalReport:
+    """The exhaustive scan by its definition: count every word, in product order."""
+    alphabet = alphabet_of_size(s)
+    sizes = {}
+    for chars in itertools.product(alphabet.symbols, repeat=w):
+        text = "".join(chars)
+        sizes[text] = count(make_word(text, alphabet), d, alphabet, kind)
+    lo, hi = min(sizes.values()), max(sizes.values())
+    return ExtremalReport(
+        word_length=w,
+        distance=d,
+        alphabet_size=s,
+        kind=kind,
+        mode=MODE_EXHAUSTIVE,
+        scanned=len(sizes),
+        seed=None,
+        min_count=lo,
+        min_words=tuple(t for t, v in sizes.items() if v == lo),
+        max_count=hi,
+        max_words=tuple(t for t, v in sizes.items() if v == hi),
+    )
 
 
 def test_exhaustive_scan_finds_all_witnesses():
@@ -30,6 +59,34 @@ def test_exhaustive_scan_finds_all_witnesses():
     assert report.max_count == hi
     assert set(report.min_words) == {t for t, v in sizes.items() if v == lo}
     assert set(report.max_words) == {t for t, v in sizes.items() if v == hi}
+
+
+@pytest.mark.parametrize("kind", [KIND_CONDENSED, KIND_SUPER_CONDENSED])
+def test_exhaustive_scan_matches_a_plain_scan(kind):
+    # the orbit scan counts one word per orbit; its report must not show it
+    for s, w, d in _PLAIN_SCAN_CELLS:
+        assert scan_extremal(w, d, s, kind) == _plain_scan(w, d, s, kind), (s, w, d)
+
+
+@pytest.mark.parametrize("kind", [KIND_CONDENSED, KIND_SUPER_CONDENSED])
+def test_a_unary_alphabet_scans_one_orbit(kind):
+    report = scan_extremal(5, 2, 1, kind)
+    assert report.scanned == 1
+    assert report.min_words == report.max_words == ("aaaaa",)
+
+
+def test_orbits_relabel_only_the_letters_a_word_uses():
+    # aaaa uses one of the three letters: its orbit is 3 words, not 3!
+    report = scan_extremal(4, 1, 3)
+    assert report.min_count == 7
+    assert report.min_words == ("aaaa", "bbbb", "cccc")
+
+
+def test_super_condensed_orbits_closed_under_reversal_are_listed_once():
+    # abba is its own reversal and abab's is baba, a relabelling: each orbit
+    # holds 2 words, not 2 * 2!
+    report = scan_extremal(4, 2, 2, KIND_SUPER_CONDENSED)
+    assert report.max_words == ("abab", "abba", "baab", "baba")
 
 
 def test_known_extrema_for_length_four_binary():
