@@ -37,7 +37,7 @@ from .counting import (
     unary_condensed_count,
     unary_super_condensed_count,
 )
-from .distance import leftmost_optimal_alignment, levenshtein, optimal_alignment
+from .distance import _backtrack, _exact, _leftmost
 from .extremal import MODE_EXHAUSTIVE, MODE_SAMPLED, scan_extremal
 from .neighborhood import _members, _oracle, _query, count, resolve_budget
 from .verify import VerifyConfig, run_verification
@@ -81,11 +81,13 @@ def cmd_dist(args) -> int:
     alphabet = _resolve_alphabet(args, fallback_chars=args.u + args.v)
     u = make_word(args.u, alphabet)
     v = make_word(args.v, alphabet)
-    lines = [str(levenshtein(u, v))]
+    # one fold: the distance is its last cell, and each alignment reads its rows
+    d, rows = _exact(u.text, v.text)
+    lines = [str(d)]
     if args.alignment:
-        lines.append(optimal_alignment(u, v).render())
+        lines.append(_backtrack(u.text, v.text, rows).render())
     if args.leftmost:
-        lines.append(leftmost_optimal_alignment(u, v).render())
+        lines.append(_leftmost(u.text, v.text, rows).render())
     print("\n".join(lines))
     return EXIT_OK
 

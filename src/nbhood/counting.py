@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .core import RangeError
+from .neighborhood import BUDGET_ENV_VAR, check_budget
 
 PANEL_PROFILE = "a"
 PANEL_CLOSED_FORM = "b"
@@ -84,12 +85,19 @@ def alignment_profile_bound(w: int, d: int, s: int) -> int:
 
     Sums, over the number i of substitution columns and j of deletion
     columns in an optimal alignment, the count of words compatible with
-    that profile. Defined for 0 <= d < w.
+    that profile. Defined for 0 <= d < w. Its (d + 1)(d + 2) / 2 terms are
+    charged to the candidate budget.
     """
     if s < 1:
         raise RangeError(f"alphabet size must be at least 1, got {s}")
     if not 0 <= d < w:
         raise RangeError(f"need 0 <= distance < length, got d={d}, w={w}")
+    check_budget(
+        (d + 1) * (d + 2) // 2,
+        None,
+        "profile bound would sum {needed} terms, over the budget of {limit}; "
+        f"raise {BUDGET_ENV_VAR} to force the run",
+    )
     # The term at (i, j) is C(w, i) (s-1)^(d-i) C(w-i-1, j) C(w+d-2k-1, d-k)
     # with k = i + j. Each binomial is updated from the one before it, and
     # every division below is exact: C(N, K) -> C(N-1, K-1) -> C(N-2, K-1)

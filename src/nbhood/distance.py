@@ -12,19 +12,16 @@ a total order and the result fully deterministic.
 The edit-distance DP is written once, in ``_row_step``: one letter of the
 row against the prefixes of a word, saturated at a cap, optionally with a
 free start (Sellers 1980). The neighborhood automaton steps its prefix and
-free-start rows with it. Here one fold steps it, ``_band_rows``: only the
-band of cells within the cap of the diagonal (Ukkonen 1985), which at a
-cap above every distance in the table is the whole row, every cell exact.
-``_optimal_steps`` is likewise the one statement of which steps keep an
-alignment optimal.
+free-start rows with it. Here one fold steps it, ``_band_rows``: a try at
+limit L folds only the diagonals that a path of cost at most L can use,
+about L + 1 cells a row (Ukkonen 1985), and at a limit above every
+distance the whole row. ``_optimal_steps`` is likewise the one statement
+of which steps keep an alignment optimal.
 
-``_dist`` folds with an early exit. ``_exact`` tries limits on d: a try
-whose band dies at row i restarts at the limit its rows would reach by the
-last row, and at least twice the old one. Where the band would not pay
-(short words, as in ``verify``, or a large d) both fold whole rows. Each
-alignment reads the rows of ``_exact`` in place, band-shaped and forward,
-and walks optimal paths back from the last cell. The leftmost alignment
-then works only on the cells of optimal paths.
+``_fold`` is one try; ``in_neighborhood`` makes one at d, and ``_exact``
+tries rising limits. Each alignment reads the rows of ``_exact`` in place
+and walks optimal paths back from the last cell; ``nbhood dist`` folds
+once and hands the same rows to each alignment it prints.
 """
 from __future__ import annotations
 
@@ -74,89 +71,76 @@ def _row_step(
 
 
 def _banded(cap: int, n: int) -> bool:
-    """Whether to fold only the band of cap, against rows of n + 1 cells.
+    """Whether to fold only the window of cap, against rows of n + 1 cells.
 
-    Only when the band with a cell of slack on each side, 2 * (cap + 1)
-    cells, is at most half the row: on shorter rows cutting the band costs
-    more than the cells it skips.
+    Only when the window, about cap + 1 cells, is at most a quarter of the
+    row: on shorter rows cutting it costs more than the cells it skips.
     """
     return 4 * (cap + 1) <= n
 
 
 def _band_rows(a: str, b: str, cap: int):
-    """The DP rows of a against the prefixes of b, cut to the band.
+    """The DP rows of a against the prefixes of b, cut to the window of limit cap - 1.
 
-    Yields (lo, cells) for rows i = 0..len(a): ``cells[k]`` is
-    min(dist(a[:i], b[:lo + k]), cap) for the columns lo = max(0, i - cap)
-    to hi = min(len(b), i + cap - 1). A cell with |i - j| >= cap is at
-    least cap, so every cell outside the band is cap (Ukkonen 1985). The
-    band starts one column left of the live cells |i - j| < cap. The
-    boundary cell's diagonal and left neighbours are then cap and cap + 1
-    off the diagonal, so both are >= cap, and ``_row_step``'s column-0
-    rule (the cell above plus one, saturated) gives its true value.
-    Assumes |len(a) - len(b)| < cap, so that every band is nonempty and
-    the last one reaches column len(b).
+    A path through the cell (i, j) on diagonal k = j - i costs at least
+    |k| + |delta - k|, delta = len(b) - len(a), so a path of cost at most
+    L = cap - 1 keeps to the window -left < k < right. Yields (lo, cells)
+    for rows i = 0..len(a), over the columns lo = max(0, i - left) to
+    min(len(b), i + right - 1): once lo > 0, a boundary cell, the cell above
+    plus one (``_row_step``'s column-0 rule), then the window. The window
+    holds the DP over the paths that keep to it, saturated at cap: the
+    boundary is never below the diagonal step right of it. So a cell on a
+    path of cost at most L reads its true value, and any other cell at
+    least its true value or cap. Assumes |delta| <= L.
     """
     n = len(b)
+    left, right = (cap - 1 - n + len(a)) // 2 + 1, (cap - 1 + n - len(a)) // 2 + 1
     lo = 0
-    row = tuple(range(min(cap, n + 1)))
+    row = tuple(range(min(right, n + 1)))
     yield lo, row
     for i, symbol in enumerate(a, 1):
-        if i > cap:
+        if i > left:
             row = row[1:]
             lo += 1
-        if i + cap <= n + 1:
+        if i + right <= n + 1:
             row += (cap,)
         row = _row_step(row, symbol, b[lo : lo + len(row) - 1], cap)
         yield lo, row
 
 
-def _dist(a: str, b: str, limit: int) -> int:
-    """Edit distance between raw strings, saturated at ``limit + 1``.
+def _fold(a: str, b: str, limit: int) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """One try at limit: min(edit distance, limit + 1), and the rows it folded.
 
-    The result is the exact distance when it is <= limit and ``limit + 1``
-    otherwise, which leaves every ``<= limit`` decision intact while
-    enabling an early exit once a whole row exceeds the limit. When the
-    band is well narrower than the row, only the band is folded; else
-    whole rows, at a cap above every distance in the table.
+    The try stops at the first row above the limit in every cell, as each
+    path in the window crosses it.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    cap = limit + 1
-    if len(a) - len(b) >= cap:
-        return cap
-    whole = len(a) + len(b) + 1
-    for _, row in _band_rows(a, b, cap if _banded(cap, len(b)) else whole):
+    rows: list[tuple[int, tuple[int, ...]]] = []
+    if abs(len(a) - len(b)) > limit:
+        return limit + 1, rows
+    for lo, row in _band_rows(a, b, limit + 1):
+        rows.append((lo, row))
         if min(row) > limit:
-            return cap
-    return min(row[-1], cap)
+            return limit + 1, rows
+    return row[-1], rows
 
 
 def _exact(a: str, b: str) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """The edit distance d, and the DP rows (lo, cells) of the fold that found it.
 
-    The rows are those of a against the prefixes of b, as ``_band_rows``
-    yields them. Each cell is exact up to d and above d otherwise, which
-    leaves every step of an optimal path as it is: its cells are at most d,
-    and a cell above d fails every equality that its true value fails.
-    Ukkonen's cutoff: a try folds the band of limit + 1, from limit =
-    max(1, length difference), and fits when its last cell is at most the
-    limit. A try that dies at row i, every cell above the limit, restarts
-    at the limit its rows would reach by row len(a), ceil((limit + 1) *
-    len(a) / i), and at least twice the old one. Once the band is no longer
-    well narrower than the row, whole rows are folded, every cell exact.
+    Each cell of an optimal path lies in its row's span and reads its true
+    value; any other reads at least that, or above d. Ukkonen's cutoff tries
+    limits from max(1, length difference). A try that dies at row i restarts
+    at ceil((limit + 1) * len(a) / i), the limit its rows would reach by the
+    last row, but at least twice and at most four times the old one, as a
+    wider window dies later. Where the window would not pay, whole rows.
     """
     m, n = len(a), len(b)
     limit = max(1, abs(m - n))
     while _banded(limit + 1, n):
-        rows = []
-        for lo, row in _band_rows(a, b, limit + 1):
-            rows.append((lo, row))
-            if min(row) > limit:
-                break
-        if row[-1] <= limit:
-            return row[-1], rows
-        limit = max(2 * limit, -(-(limit + 1) * m // (len(rows) - 1)))
+        d, rows = _fold(a, b, limit)
+        if d <= limit:
+            return d, rows
+        limit = min(4 * limit, max(2 * limit, -(-(limit + 1) * m // (len(rows) - 1))))
     rows = list(_band_rows(a, b, m + n + 1))
     return rows[-1][1][-1], rows
 
@@ -171,11 +155,11 @@ def _optimal_steps(a: str, b: str, rows, i: int, j: int):
     """The steps into cell (i, j) of an optimal path that come from one.
 
     ``rows`` are those of ``_exact(a, b)``, and P(i, j) is ``cells[j - lo]``
-    inside row i's band and d + 1 outside it. Yields (class code, previous
+    inside row i's span and d + 1 outside it. Yields (class code, previous
     cell): the diagonal step (match 0, mismatch 1), then the deletion, then
-    the insertion. As (i, j) lies on an optimal path, P(i, j) is exact, and
-    a step keeps the path optimal exactly when P of the cell it leaves plus
-    its cost equals P(i, j); a cell above d fails that as its true value does.
+    the insertion. A step keeps the path optimal exactly when P of the cell
+    it leaves plus its cost equals P(i, j): P reads each cell of an optimal
+    path exactly, and any other at least its true value or above d.
     """
     out = rows[-1][1][-1] + 1
 
@@ -207,8 +191,11 @@ def optimal_alignment(u: Word, v: Word) -> Alignment:
     deletion, then the insertion.
     """
     require_same_alphabet(u, v)
-    a, b = u.text, v.text
-    rows = _exact(a, b)[1]
+    return _backtrack(u.text, v.text, _exact(u.text, v.text)[1])
+
+
+def _backtrack(a: str, b: str, rows) -> Alignment:
+    """``optimal_alignment`` of a over b, off the rows of ``_exact(a, b)``."""
     cols: list[Column] = []
     i, j = len(a), len(b)
     while i or j:
@@ -284,9 +271,11 @@ def leftmost_optimal_alignment(top: Word, bottom: Word) -> Alignment:
     keeps each cell's onward steps for the sweep.
     """
     require_same_alphabet(top, bottom)
-    a, b = top.text, bottom.text
-    rows = _exact(a, b)[1]
+    return _leftmost(top.text, bottom.text, _exact(top.text, bottom.text)[1])
 
+
+def _leftmost(a: str, b: str, rows) -> Alignment:
+    """``leftmost_optimal_alignment`` of a over b, off the rows of ``_exact(a, b)``."""
     # The cells of optimal paths, each with its onward optimal steps,
     # reached by walking the steps into them back from the last cell.
     end = (len(a), len(b))

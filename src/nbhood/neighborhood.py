@@ -47,7 +47,7 @@ from .core import (
     require_same_alphabet,
     require_word,
 )
-from .distance import _dist, _row_step
+from .distance import _fold, _row_step
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "NBHOOD_BUDGET"
@@ -95,10 +95,10 @@ def _query(w: Word, d: int, alphabet: Alphabet, kind: str) -> Word:
 
 
 def in_neighborhood(u: Word, w: Word, d: int) -> bool:
-    """True iff u lies within Levenshtein distance d of w."""
+    """True iff u lies within Levenshtein distance d of w: one windowed try at d."""
     _require_distance(d)
     require_same_alphabet(u, w)
-    return _dist(u.text, w.text, limit=d) <= d
+    return _fold(u.text, w.text, d)[0] <= d
 
 
 _State = tuple[tuple[int, ...], tuple[int, ...] | None]

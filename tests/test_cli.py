@@ -11,13 +11,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import nbhood
-from nbhood import cli
+from nbhood import cli, distance
 from nbhood.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from nbhood.neighborhood import BUDGET_ENV_VAR, DEFAULT_CANDIDATE_BUDGET
 
@@ -131,6 +132,48 @@ def test_dist_argument_vectors_end_in_a_result_or_one_error_line(case):
         assert "".join(t for t in tops if t != "-") == u
         assert "".join(b for b in bottoms if b != "-") == v
         assert sum(t != b for t, b in zip(tops, bottoms)) == d
+
+
+@st.composite
+def dist_pairs(draw):
+    # two words of 0-6 letters, or a word of 28-40 letters and a copy of it
+    # with at most four edits, long next to their distance, so that the
+    # fold cuts its rows to a window
+    if draw(st.booleans()):
+        word = st.text(alphabet="abc", max_size=6)
+        return draw(word), draw(word)
+    a = draw(st.text(alphabet="abcd", min_size=28, max_size=40))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(b) - 1))
+        b[i : i + draw(st.integers(0, 1))] = draw(st.sampled_from(["", "a", "b", "c", "d"]))
+    return a, "".join(b)
+
+
+@given(
+    dist_pairs(),
+    st.sampled_from([(), ("--alignment",), ("--leftmost",), ("--leftmost", "--alignment")]),
+)
+def test_dist_prints_the_public_results_from_one_fold(pair, flags):
+    a, b = pair
+    alphabet = nbhood.make_alphabet("abcd")
+    u, v = nbhood.make_word(a, alphabet), nbhood.make_word(b, alphabet)
+    want = [str(nbhood.levenshtein(u, v))]
+    if "--alignment" in flags:
+        want.append(nbhood.optimal_alignment(u, v).render())
+    if "--leftmost" in flags:
+        want.append(nbhood.leftmost_optimal_alignment(u, v).render())
+    folds = []
+    fold = distance._exact
+
+    def counted(x, y):
+        folds.append((x, y))
+        return fold(x, y)
+
+    with mock.patch.object(distance, "_exact", counted), mock.patch.object(cli, "_exact", counted):
+        code, out, err = _call(["dist", a, b, "--alphabet", "abcd", *flags])
+    assert (code, out, err) == (EXIT_OK, "\n".join(want) + "\n", "")
+    assert folds == [(a, b)]
 
 
 @st.composite
@@ -650,6 +693,22 @@ def test_bound_values(capsys):
         "--exact-rational",
     )
     assert (code, out) == (EXIT_OK, "66355 (exact 331776/5)\n")
+
+
+def test_bound_f_charges_its_profile_terms_to_the_budget(capsys, monkeypatch):
+    # (d + 1)(d + 2) / 2 terms: 21 at d = 5
+    argv = ("bound", "f", "--length", "9", "--dist", "5", "--sigma", "2")
+    monkeypatch.setenv(BUDGET_ENV_VAR, "20")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    _assert_one_error_line(out, err)
+    assert "21 terms, over the budget of 20" in err
+    monkeypatch.setenv(BUDGET_ENV_VAR, "21")
+    assert run_cli(capsys, *argv)[:2] == (EXIT_OK, f"{nbhood.alignment_profile_bound(9, 5, 2)}\n")
+    # 180,901 terms: within the default budget
+    monkeypatch.delenv(BUDGET_ENV_VAR)
+    code, out, err = run_cli(capsys, "bound", "f", "--length", "2000", "--dist", "600", "--sigma", "3")
+    assert (code, err) == (EXIT_OK, "") and out.strip().isdigit()
 
 
 def test_bound_f_is_undefined_at_equal_length_and_distance(capsys):

@@ -1,6 +1,7 @@
 """Edit distance, optimal alignments, and the leftmost-alignment order."""
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, example, given
@@ -24,7 +25,7 @@ from nbhood import (
     mm_index_sequence,
     optimal_alignment,
 )
-from nbhood.distance import _band_rows, _banded, _dist, _exact
+from nbhood.distance import _band_rows, _banded, _exact, _fold
 from nbhood.neighborhood import _plain_dist
 
 A2 = alphabet_of_size(2)
@@ -98,22 +99,52 @@ def _ref_backtrack(a: str, b: str) -> tuple[Column, ...]:
     return tuple(reversed(cols))
 
 
+def _window_dp(a: str, b: str, spans):
+    """The DP over paths that keep to the given column spans, row by row.
+
+    ``spans[i]`` is (lo, hi), the columns lo..hi of row i. A row whose span
+    starts right of column 0 begins with a boundary cell, the cell above
+    plus one; every other cell is the least of its three steps from cells
+    in the spans. Plain loops, independent of the production row step.
+    """
+    inf = float("inf")
+    dp = {(0, 0): 0}
+    for i, (lo, hi) in enumerate(spans):
+        for j in range(lo, hi + 1):
+            if (i, j) == (0, 0):
+                continue
+            if j == lo > 0:
+                dp[i, j] = dp[i - 1, j] + 1
+                continue
+            steps = [dp.get((i - 1, j), inf) + 1, dp.get((i, j - 1), inf) + 1]
+            if i and j:
+                steps.append(dp.get((i - 1, j - 1), inf) + (a[i - 1] != b[j - 1]))
+            dp[i, j] = min(steps)
+    return dp
+
+
 def _check_exact(a: str, b: str, exact: int) -> None:
-    # the one table the alignments read: the rows of the fold that found d,
-    # band-shaped, every cell in a band exact up to d and above d elsewhere,
-    # and every column outside a row's band above d
+    # the one table the alignments read: the rows of the fold that found d.
+    # Inside each row's span every cell is the DP over paths that keep to
+    # the spans, saturated at the fold's cap: the largest cell, above d
+    # unless no cell saturates. Every cell of an optimal path lies in its
+    # row's span and reads its true value; every cell outside the spans
+    # lies on no optimal path.
     d, rows = _exact(a, b)
     assert d == exact
-    ref = _ref_prefix_dist(a, b)
     assert len(rows) == len(a) + 1
-    for i, (lo, row) in enumerate(rows):
+    dp, sfx = _ref_tables(a, b)
+    window = _window_dp(a, b, [(lo, lo + len(cells) - 1) for lo, cells in rows])
+    cap = max(max(cells) for _, cells in rows)
+    assert cap > d or cap == max(window.values())
+    for i, (lo, cells) in enumerate(rows):
         for j in range(len(b) + 1):
-            true = ref(i, j)
-            if lo <= j < lo + len(row):
-                cell = row[j - lo]
-                assert cell == true if true <= exact else cell > exact, (i, j)
+            on_path = dp[i][j] + sfx[i][j] == d
+            if lo <= j < lo + len(cells):
+                assert cells[j - lo] == min(window[i, j], cap), (i, j)
+                assert not on_path or cells[j - lo] == dp[i][j], (i, j)
             else:
-                assert true > exact, (i, j)
+                assert not on_path, (i, j)
 
 
 def _w(text: str, alphabet=A3):
@@ -158,7 +189,7 @@ def test_the_oracle_dp_matches_the_reference(a, b):
 )
 def test_the_row_kernel_matches_the_reference_everywhere(case):
     # every DP built on the one row step, cell by cell, against the recursion:
-    # the whole-row fold that _dist and _exact take on short rows, of the
+    # the whole-row fold that _exact takes on short rows, of the
     # words and of the reversed words, and the table the alignments read
     alphabet, a, b = case
     m, n = len(a), len(b)
@@ -170,7 +201,7 @@ def test_the_row_kernel_matches_the_reference_everywhere(case):
     exact = _ref_dist(a, b)
     _check_exact(a, b, exact)
     for limit in range(4):
-        assert _dist(a, b, limit) == min(exact, limit + 1), limit
+        assert _fold(a, b, limit)[0] == min(exact, limit + 1), limit
         assert in_neighborhood(_w(a, alphabet), _w(b, alphabet), limit) == (exact <= limit)
 
 
@@ -202,7 +233,7 @@ def test_the_band_matches_the_reference_on_long_near_pairs(pair):
     assert all(_banded(cap, min(len(a), len(b))) for cap in range(1, 6))
     _check_exact(a, b, exact)
     for limit in range(5):
-        assert _dist(a, b, limit) == min(exact, limit + 1), limit
+        assert _fold(a, b, limit)[0] == min(exact, limit + 1), limit
     u, v = _w(a, A4), _w(b, A4)
     best = min(enumerate_optimal_alignments(u, v, max_len=44), key=alignment_order_key)
     assert alignment_order_key(leftmost_optimal_alignment(u, v)) == alignment_order_key(best)
@@ -237,9 +268,39 @@ def test_long_far_pairs_match_the_reference(pair):
     assert levenshtein(u, v) == exact
     _check_exact(a, b, exact)
     for limit in (0, 1, 3, 7, exact - 1, exact, exact + 1):
-        assert _dist(a, b, limit) == min(exact, limit + 1), limit
+        assert _fold(a, b, limit)[0] == min(exact, limit + 1), limit
     for al in (optimal_alignment(u, v), leftmost_optimal_alignment(u, v)):
         assert (al.cost, al.top_text, al.bottom_text) == (exact, a, b)
+
+
+def _edited_pairs(count: int, seed: int):
+    # words of 150-300 letters over 2-4 letters, each with a copy that has
+    # about one edit in ten: 4% deletions, 3% insertions, 3% substitutions
+    rng = random.Random(seed)
+    for _ in range(count):
+        letters = "abcd"[: rng.randint(2, 4)]
+        a = "".join(rng.choice(letters) for _ in range(rng.randint(150, 300)))
+        b = []
+        for ch in a:
+            roll = rng.random()
+            if roll < 0.04:
+                continue
+            if roll < 0.07:
+                b.append(rng.choice(letters))
+            elif roll < 0.10:
+                ch = rng.choice(letters)
+            b.append(ch)
+        yield a, "".join(b)
+
+
+def test_long_near_pairs_never_fall_back_to_whole_rows():
+    # a restart that overshoots the distance asks for a window too wide to
+    # pay, and the fold takes whole rows; bounding the restart at four times
+    # the old limit keeps every one of these pairs in a window, where an
+    # unbounded restart sends about one in six to whole rows
+    for a, b in _edited_pairs(100, seed=0):
+        rows = _exact(a, b)[1]
+        assert all(len(cells) <= len(b) for _, cells in rows), (len(a), len(b))
 
 
 def _ref_leftmost_columns(a: str, b: str) -> tuple[Column, ...]:
