@@ -9,14 +9,15 @@ that order are broken by the column-class sequence (match < mismatch <
 insertion < deletion, compared left to right), which makes the selection
 a total order and the result fully deterministic.
 
-The edit-distance DP is written once, in ``_row_step``: one letter of the
-row against the prefixes of a word, saturated at a cap, optionally with a
-free start (Sellers 1980). The neighborhood automaton steps its prefix and
-free-start rows with it. Here one fold steps it, ``_band_rows``: a try at
-limit L folds only the diagonals that a path of cost at most L can use,
-about L + 1 cells a row (Ukkonen 1985), and at a limit above every
-distance the whole row. ``_optimal_steps`` is likewise the one statement
-of which steps keep an alignment optimal.
+The edit-distance DP of a pair is written once, in ``_row_step``: one
+letter of the row against the prefixes of a word, saturated at a cap. One
+fold steps it, ``_band_rows``: a try at limit L folds only the diagonals
+that a path of cost at most L can use, about L + 1 cells a row (Ukkonen
+1985), and at a limit above every distance the whole row. The
+neighborhood automaton steps its rows with a second recurrence on
+bit-parallel threshold masks, ``neighborhood._mask_step``.
+``_optimal_steps`` is the one statement of which steps keep an alignment
+optimal.
 
 ``_fold`` is one try; ``in_neighborhood`` makes one at d, and ``_exact``
 tries rising limits. Each alignment reads the rows of ``_exact`` in place
@@ -42,19 +43,14 @@ DEFAULT_ORACLE_MAX_LEN = 12
 _CLASS_CODE = {MATCH: 0, MISMATCH: 1, INSERTION: 2, DELETION: 3}
 
 
-def _row_step(
-    row: tuple[int, ...], symbol: str, w: str, cap: int, free_start: bool = False
-) -> tuple[int, ...]:
+def _row_step(row: tuple[int, ...], symbol: str, w: str, cap: int) -> tuple[int, ...]:
     """One letter of the edit-distance DP against the prefixes of w.
 
     ``row[j]`` is min(dist(u, w[:j]), cap) for the word u read so far, and
     the result is that row for u + symbol. Cells saturate at cap: with
-    cap = d + 1, values above d never influence a <= d test. With
-    ``free_start`` column 0 is pinned to 0, so a match may begin after any
-    letter read (Sellers 1980): the row then holds the least distance from
-    w[:j] to a suffix of the word read.
+    cap = d + 1, values above d never influence a <= d test.
     """
-    left = 0 if free_start else min(row[0] + 1, cap)
+    left = min(row[0] + 1, cap)
     out = [left]
     # min(diag + mismatch, above + 1, left + 1, cap), spelled out: this loop
     # is the hot path, and comparisons run about twice as fast as min()
@@ -214,13 +210,20 @@ def enumerate_optimal_alignments(
     refuses inputs longer than ``max_len`` rather than truncating.
     """
     require_same_alphabet(u, v)
-    if len(u) > max_len or len(v) > max_len:
+    _require_short(u.text, v.text, max_len)
+    return _alignments(u.text, v.text, _exact(u.text, v.text)[1])
+
+
+def _require_short(a: str, b: str, max_len: int = DEFAULT_ORACLE_MAX_LEN) -> None:
+    """Refuse an exhaustive alignment enumeration past ``max_len`` letters."""
+    if len(a) > max_len or len(b) > max_len:
         raise BudgetError(
             f"alignment enumeration limited to words of length <= {max_len}"
         )
-    a, b = u.text, v.text
-    rows = _exact(a, b)[1]
 
+
+def _alignments(a: str, b: str, rows) -> tuple[Alignment, ...]:
+    """``enumerate_optimal_alignments`` of a over b, off the rows of ``_exact(a, b)``."""
     out: list[Alignment] = []
     acc: list[Column] = []
 

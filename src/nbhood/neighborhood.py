@@ -9,16 +9,21 @@ Three nested variants of the distance-d neighborhood of a word W:
   neighborhood
 
 Both production routes run on one automaton whose state is the saturated
-DP row of the word read so far, stepped by ``distance._row_step``.
+DP row of the word read so far, kept as bit-parallel threshold masks and
+stepped by ``_mask_step``, a few big-integer operations per mask (Wu &
+Manber 1992). Only the masks between the row's least cell and d that are
+not full are kept, so a step costs O(min(d, |W|)) mask operations.
 ``count`` makes a forward pass over the distinct states, one word length
 at a time, carrying how many words reach each state; ``_members``, the one
 listing walk, checks its query once and walks the word trie depth first
 with an explicit stack, carrying the state per node and keeping no memo
-of its own. For the super-condensed kind the state also carries a
-free-start (Sellers) row, which rejects a word as soon as one of its
-proper subwords comes within d of W. The automaton steps every distinct
-row once per call and keeps the result until the call returns, so a
-call's memory grows with its distinct rows; nothing is kept across calls.
+of its own. Both read a state's membership and children from the
+automaton, which gives a member of a condensed kind no children. For the
+super-condensed kind the state also carries a free-start (Sellers) row,
+which rejects a word as soon as one of its proper subwords comes within d
+of W. The automaton steps every distinct row once per call and keeps the
+result until the call returns, so a call's memory grows with its distinct
+rows; nothing is kept across calls.
 The public enumerators build checked result records from the texts of the
 walk or the oracle; the CLI and ``verify`` read the texts. The oracle scans
 the candidates once with a textbook full-table DP of its own, keeps the
@@ -47,7 +52,7 @@ from .core import (
     require_same_alphabet,
     require_word,
 )
-from .distance import _fold, _row_step
+from .distance import _fold
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "NBHOOD_BUDGET"
@@ -101,71 +106,136 @@ def in_neighborhood(u: Word, w: Word, d: int) -> bool:
     return _fold(u.text, w.text, d)[0] <= d
 
 
-_State = tuple[tuple[int, ...], tuple[int, ...] | None]
+_Row = tuple[int, ...]
+_State = tuple[_Row, _Row | None]
+
+
+def _match_masks(w: str, symbols: tuple[str, ...]) -> dict[str, int]:
+    """Each letter's match mask against w: bit j is set iff w[j - 1] is the letter."""
+    masks = dict.fromkeys(symbols, 0)
+    for j, c in enumerate(w, 1):
+        masks[c] |= 1 << j
+    return masks
+
+
+def _mask_step(row: _Row, match: int, d: int, full: int, free_start: bool = False) -> _Row:
+    """One letter of the edit-distance DP, on a row kept as threshold masks.
+
+    A row r over the columns 0..|w|, saturated at d + 1, is kept as
+    (m, R_m, R_m+1, ...): m is its least cell, and bit j of R_k is set iff
+    r[j] <= k. Every mask below m is 0. Adjacent cells differ by at most 1,
+    so the masks grow to full within |w| steps of m; the tuple holds those
+    from m up to d that are not full, and every later one is full. A row
+    above d everywhere is (d + 1,). ``match`` is the letter's match mask and
+    ``full`` has bits 0..|w| set. The row of the word read plus the letter
+    is, mask by mask (Wu & Manber 1992; Baeza-Yates & Navarro 1999),
+
+        R'_k = ((R_k << 1) & match) | (R_k-1 << 1) | R_k-1 | (R'_k-1 << 1)
+
+    cut to |w| + 1 bits: the diagonal on a match, the diagonal on a
+    mismatch, the cell above, the cell to the left. Column 0 gains one, or
+    with ``free_start`` is pinned to 0, so a match may begin after any
+    letter read (Sellers 1980): bit 0 is then set in every mask. A step
+    costs O(min(d, |w|)) mask operations. It starts at m, as a prefix row's
+    least cell never falls (at 0 with a free start), and stops at the first
+    full mask: a full R_k-1 makes R'_k full, and R'_k holds columns 0..k
+    with a free start.
+    """
+    base, top = row[0], row[0] + len(row) - 1
+    k = 0 if free_start else base
+    out = [k]
+    old = new = 0  # R_k-1 and R'_k-1: below a prefix row's m both are 0
+    while k <= d:
+        cur = 0 if k < base else row[k - base + 1] if k < top else full
+        # free_start, as 1 or 0, is bit 0
+        new = ((cur << 1) & match) | (((old | new) << 1 | old) & full) | free_start
+        if new == full:
+            break
+        if new:
+            out.append(new)
+        else:
+            out[0] = k + 1
+        old = cur
+        k += 1
+    return tuple(out)
 
 
 def _automaton(w: str, d: int, symbols: tuple[str, ...], kind: str):
-    """Start state and live-children function of the neighborhood's DP automaton.
+    """Start state and expansion function of the neighborhood's DP automaton.
 
-    A state is the saturated prefix row of the word read so far; it alone
-    decides the subtree below the word, so equal states can be merged
-    (a lazily built Levenshtein automaton, Schulz & Mihov 2002). For the
-    super-condensed kind the state also carries a free-start row over the
-    start positions >= 1; it is all cap before the first letter, as there
-    is no such start yet. A child is dropped when its prefix row is above d
-    everywhere (no extension comes back within d of w) or, for the
-    super-condensed kind, when its free-start row reaches column |w| within
-    d: some proper subword not starting at letter 0 is then a member, and
-    it stays one in every extension. Proper subwords starting at letter 0
-    are prefixes, and the walk never expands a member for the condensed
-    kinds. Depth needs no cap: past |w| + d every prefix-row cell is above d.
+    A state is the saturated prefix row of the word read so far, as
+    ``_mask_step`` keeps it; it alone decides the subtree below the word,
+    so equal states can be merged (a lazily built Levenshtein automaton,
+    Schulz & Mihov 2002). For the super-condensed kind the state also
+    carries a free-start row over the start positions >= 1; it is all
+    d + 1 before the first letter, as there is no such start yet.
 
-    Each distinct row is stepped once per call: a prefix row's live
-    children, and a free-start row's step on each letter whose prefix
-    child lives, are memoized in this closure. A row met at several depths,
-    or shared by several state pairs, costs a lookup after its first step.
-    The memos grow with the call's distinct rows and go with the closure.
+    ``expand(state)`` gives whether the state is a member, its prefix row
+    reaching column |w| within d, and its live children. A child is dropped
+    when its prefix row is above d everywhere (no extension comes back
+    within d of w) or, for the super-condensed kind, when its free-start row
+    reaches column |w| within d: some proper subword not starting at letter
+    0 is then a member, and it stays one in every extension. A member of a
+    condensed kind has no children, as every extension has it as a proper
+    prefix. Depth needs no cap: past |w| + d every prefix-row cell is above d.
+
+    Each distinct row is stepped once per call: a prefix row's membership
+    and live children, and a free-start row's step on each letter whose
+    prefix child lives, are memoized in this closure. A row met at several
+    depths, or shared by several state pairs, costs a lookup after its first
+    step. The memos grow with the call's distinct rows and go with the closure.
     """
     n = len(w)
-    cap = d + 1
-    dead = (cap,) * (n + 1)
+    full = (2 << n) - 1
+    reach = 1 << n
+    masks = _match_masks(w, symbols)
     sellers = kind == KIND_SUPER_CONDENSED
     start: _State = (
-        tuple(min(j, cap) for j in range(n + 1)),
-        dead if sellers else None,
+        # cell j of the start row is j: R_k holds columns 0..k
+        (0,) + tuple((2 << k) - 1 for k in range(min(d + 1, n))),
+        (d + 1,) if sellers else None,
     )
-    # prefix row -> its live children, as states with no free-start row;
-    # (free row, letter) -> its step, or None when the step drops the child
-    live: dict[tuple[int, ...], tuple[tuple[str, _State], ...]] = {}
-    free_steps: dict[tuple[tuple[int, ...], str], tuple[int, ...] | None] = {}
 
-    def children(state: _State) -> Sequence[tuple[str, _State]]:
+    def reaches(row: _Row) -> bool:
+        # column |w| is within d iff bit |w| of R_d is set
+        i = d + 1 - row[0]
+        return i > 0 and (i >= len(row) or row[i] >= reach)
+
+    # prefix row -> (member, its live children as states with no free-start
+    # row); letter -> free row -> its step, or None when the step drops the child
+    live: dict[_Row, tuple[bool, tuple[tuple[str, _State], ...]]] = {}
+    free_steps: dict[str, dict[_Row, _Row | None]] = {symbol: {} for symbol in symbols}
+
+    def expand(state: _State) -> tuple[bool, Sequence[tuple[str, _State]]]:
         row, free = state
-        below = live.get(row)
-        if below is None:
+        known = live.get(row)
+        if known is None:
+            member = reaches(row)
             out = []
-            for symbol in symbols:
-                child = _row_step(row, symbol, w, cap)
-                if child != dead:
-                    out.append((symbol, (child, None)))
-            below = live[row] = tuple(out)
+            if kind == KIND_FULL or not member:
+                for symbol in symbols:
+                    child = _mask_step(row, masks[symbol], d, full)
+                    if child[0] <= d:
+                        out.append((symbol, (child, None)))
+            known = live[row] = (member, tuple(out))
         if not sellers:
-            return below
+            return known
+        member, below = known
         out = []
         for symbol, (child, _) in below:
-            key = (free, symbol)
-            # the key stands for a miss: a stored step is a row or None
-            free_child = free_steps.get(key, key)
-            if free_child is key:
-                free_child = _row_step(free, symbol, w, cap, free_start=True)
-                if free_child[n] <= d:
+            steps = free_steps[symbol]
+            # the dict stands for a miss: a stored step is a row or None
+            free_child = steps.get(free, steps)
+            if free_child is steps:
+                free_child = _mask_step(free, masks[symbol], d, full, free_start=True)
+                if reaches(free_child):
                     free_child = None
-                free_steps[key] = free_child
+                steps[free] = free_child
             if free_child is not None:
                 out.append((symbol, (child, free_child)))
-        return out
+        return member, out
 
-    return start, children
+    return start, expand
 
 
 def _candidates(n: int, d: int, s: int) -> int:
@@ -202,17 +272,15 @@ def _members(
             "listing would hold {needed} members, over the budget of {limit}; "
             "raise it explicitly to force the run",
         )
-    start, children = _automaton(w.text, d, alphabet.symbols, kind)
-    n = len(w)
+    start, expand = _automaton(w.text, d, alphabet.symbols, kind)
     out = []
     stack = [("", start)]
     while stack:
         prefix, state = stack.pop()
-        if state[0][n] <= d:
+        member, children = expand(state)
+        if member:
             out.append(prefix)
-            if kind != KIND_FULL:
-                continue
-        stack.extend((prefix + symbol, child) for symbol, child in reversed(children(state)))
+        stack.extend((prefix + symbol, child) for symbol, child in reversed(children))
     return out
 
 
@@ -256,18 +324,16 @@ def count(w: Word, d: int, alphabet: Alphabet, kind: str) -> int:
     with the distinct rows and is dropped when the call returns.
     """
     w = _query(w, d, alphabet, kind)
-    start, children = _automaton(w.text, d, alphabet.symbols, kind)
-    n = len(w)
+    start, expand = _automaton(w.text, d, alphabet.symbols, kind)
     total = 0
     level = {start: 1}
     while level:
         following: dict[_State, int] = {}
         for state, ways in level.items():
-            if state[0][n] <= d:
+            member, children = expand(state)
+            if member:
                 total += ways
-                if kind != KIND_FULL:
-                    continue
-            for _, child in children(state):
+            for _, child in children:
                 following[child] = following.get(child, 0) + ways
         level = following
     return total

@@ -36,9 +36,11 @@ from .counting import (
     unary_super_condensed_count,
 )
 from .distance import (
+    _alignments,
+    _exact,
+    _leftmost,
+    _require_short,
     alignment_order_key,
-    enumerate_optimal_alignments,
-    leftmost_optimal_alignment,
 )
 from .neighborhood import _members, _oracle, _plain_dist, count, resolve_budget
 
@@ -261,8 +263,11 @@ def _step_leftmost_structure(config: VerifyConfig, rec: _Recorder) -> None:
             continue
         for t in _members(w, d, w.alphabet, KIND_CONDENSED):
             x = make_word(t, w.alphabet)
-            a = leftmost_optimal_alignment(w, x)
-            best = min(enumerate_optimal_alignments(w, x), key=alignment_order_key)
+            # one fold feeds the sweep and the exhaustive enumeration
+            _require_short(w.text, t)
+            rows = _exact(w.text, t)[1]
+            a = _leftmost(w.text, t, rows)
+            best = min(_alignments(w.text, t, rows), key=alignment_order_key)
             rec.claim(
                 f"leftmost matches exhaustive minimum: W={w.text!r} x={x.text!r} d={d}",
                 a == best,

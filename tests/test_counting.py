@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbhood import (
@@ -18,6 +18,7 @@ from nbhood import (
     brute_force_enumerate,
     check_bound_lemmas,
     closed_form_bound_exact,
+    count,
     make_word,
     unary_condensed_count,
     unary_super_condensed_count,
@@ -65,6 +66,31 @@ def test_unary_counts_match_oracle():
                 scn = brute_force_enumerate(q, d, alphabet, KIND_SUPER_CONDENSED).count
                 assert unary_condensed_count(w, d, s) == cn, (w, d, s)
                 assert unary_super_condensed_count(w, d, s) == scn, (w, d, s)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(1, 1000), st.integers(0, 3), st.integers(2, 4))
+@example(1000, 3, 4)
+@example(1000, 3, 2)
+@example(1, 3, 3)
+def test_long_unary_condensed_counts_match_the_formula(w, d, s):
+    # far past the oracle's reach: the walk counts a^1000 in milliseconds
+    d = min(d, w)
+    alphabet = alphabet_of_size(s)
+    got = count(make_word("a" * w, alphabet), d, alphabet, KIND_CONDENSED)
+    assert got == unary_condensed_count(w, d, s)
+
+
+@settings(deadline=None, max_examples=4)
+@given(st.integers(1, 40), st.integers(0, 3), st.integers(2, 4))
+@example(40, 3, 4)
+def test_unary_super_condensed_counts_match_the_formula(w, d, s):
+    # the free-start rows multiply the states: a^40 at d = 3 takes most of
+    # a second, and a^100 tens of seconds
+    d = min(d, w)
+    alphabet = alphabet_of_size(s)
+    got = count(make_word("a" * w, alphabet), d, alphabet, KIND_SUPER_CONDENSED)
+    assert got == unary_super_condensed_count(w, d, s)
 
 
 def test_unary_counts_at_the_degenerate_boundary():

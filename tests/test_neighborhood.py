@@ -24,7 +24,7 @@ from nbhood import (
     make_alphabet,
     make_word,
 )
-from nbhood import distance, neighborhood
+from nbhood import neighborhood
 from nbhood.neighborhood import (
     BUDGET_ENV_VAR,
     DEFAULT_CANDIDATE_BUDGET,
@@ -209,12 +209,34 @@ def test_count_matches_the_oracle(query, d):
         assert oracle[KIND_CONDENSED] == oracle[KIND_SUPER_CONDENSED] == [""]
 
 
-def _plain_automaton(w, d, symbols, kind):
-    """The automaton with no memo: every child steps both of its rows afresh.
+def _plain_step(row, symbol, w, cap, free_start=False):
+    """One letter of the saturated DP on a plain row, cell by cell.
 
-    Kept on the test side, with the drop rules written as plainly as they
-    read: a child goes when its prefix row is above d everywhere, or when
-    its free-start row comes within d at column |w|.
+    Cell j is the least of the diagonal step, the cell above plus one and
+    the cell to the left plus one, saturated at cap; with ``free_start``
+    column 0 is 0 (Sellers 1980). Comparisons, not min(), keep the long-word
+    forward pass below quick.
+    """
+    left = 0 if free_start else min(row[0] + 1, cap)
+    out = [left]
+    for j, c in enumerate(w, 1):
+        cell = row[j - 1] + (c != symbol)
+        if row[j] + 1 < cell:
+            cell = row[j] + 1
+        if left + 1 < cell:
+            cell = left + 1
+        left = cell if cell < cap else cap
+        out.append(left)
+    return tuple(out)
+
+
+def _plain_automaton(w, d, symbols, kind):
+    """The automaton on plain rows with no memo: every child steps both rows afresh.
+
+    Kept on the test side, with a row step of its own and the drop rules
+    written as plainly as they read: a child goes when its prefix row is
+    above d everywhere, or when its free-start row comes within d at
+    column |w|.
     """
     n = len(w)
     cap = d + 1
@@ -228,18 +250,32 @@ def _plain_automaton(w, d, symbols, kind):
         row, free = state
         out = []
         for symbol in symbols:
-            child = distance._row_step(row, symbol, w, cap)
+            child = _plain_step(row, symbol, w, cap)
             if min(child) > d:
                 continue
             free_child = None
             if sellers:
-                free_child = distance._row_step(free, symbol, w, cap, free_start=True)
+                free_child = _plain_step(free, symbol, w, cap, free_start=True)
                 if free_child[n] <= d:
                     continue
             out.append((symbol, (child, free_child)))
         return out
 
     return start, children
+
+
+def _decode(state, n):
+    """The plain rows of an automaton state kept as threshold masks.
+
+    A row (m, R_m, ...) has cell j equal to m plus the number of its masks
+    without bit j: masks below m are 0, and every one past the tuple is full.
+    """
+
+    def row(masks):
+        return tuple(masks[0] + sum(not r >> j & 1 for r in masks[1:]) for j in range(n + 1))
+
+    prefix, free = state
+    return row(prefix), None if free is None else row(free)
 
 
 def _unmemoized_members(w, d, alphabet, kind):
@@ -319,17 +355,25 @@ def test_children_match_the_plain_automaton_state_by_state(query, d):
     # that hands a prefix row a free-start step fails here and does not walk
     # forever
     alphabet, text = query
+    n = len(text)
     for kind in NEIGHBORHOOD_KINDS:
-        start, children = neighborhood._automaton(text, d, alphabet.symbols, kind)
-        _, plain = _plain_automaton(text, d, alphabet.symbols, kind)
+        start, expand = neighborhood._automaton(text, d, alphabet.symbols, kind)
+        plain_start, plain = _plain_automaton(text, d, alphabet.symbols, kind)
+        assert _decode(start, n) == plain_start
         level = [start]
-        for _ in range(len(text) + d + 2):
+        for _ in range(n + d + 2):
             following = {}
             for state in level:
-                got = children(state)
-                assert list(got) == plain(state)
+                rows = _decode(state, n)
+                member, got = expand(state)
+                assert member == (rows[0][n] <= d)
+                # a member of a condensed kind has no children
+                want = [] if member and kind != KIND_FULL else plain(rows)
+                assert [(symbol, _decode(child, n)) for symbol, child in got] == want
                 following.update((child, None) for _, child in got)
             level = list(following)
+            # one mask state per pair of plain rows, so states merge as rows do
+            assert len({_decode(state, n) for state in level}) == len(level)
         assert not level
 
 
@@ -377,16 +421,15 @@ def test_listing_length_equals_count(query, d):
 
 
 def _record_steps(monkeypatch):
-    """Patch the row step in both modules; return the (row, symbol, free_start) it sees."""
-    real = distance._row_step
+    """Wrap the mask step; return the (row, match mask, free_start) it sees."""
+    real = neighborhood._mask_step
     steps = []
 
-    def recording(row, symbol, w, cap, free_start=False):
-        steps.append((row, symbol, free_start))
-        return real(row, symbol, w, cap, free_start)
+    def recording(row, match, d, full, free_start=False):
+        steps.append((row, match, free_start))
+        return real(row, match, d, full, free_start)
 
-    monkeypatch.setattr(neighborhood, "_row_step", recording)
-    monkeypatch.setattr(distance, "_row_step", recording)
+    monkeypatch.setattr(neighborhood, "_mask_step", recording)
     return steps
 
 
@@ -397,10 +440,18 @@ def _record_steps(monkeypatch):
 def test_each_row_is_stepped_once_per_call(monkeypatch, text, d, s, kind):
     alphabet = alphabet_of_size(s)
     w = make_word(text, alphabet)
-    steps = _record_steps(monkeypatch)
     # the plain walk steps some row twice, so the cases can tell
+    plain_steps = []
+    real_plain = _plain_step
+
+    def recording_plain(row, symbol, w, cap, free_start=False):
+        plain_steps.append((row, symbol, free_start))
+        return real_plain(row, symbol, w, cap, free_start)
+
+    monkeypatch.setitem(globals(), "_plain_step", recording_plain)
     _unmemoized_members(w, d, alphabet, kind)
-    assert len(set(steps)) < len(steps)
+    assert len(set(plain_steps)) < len(plain_steps)
+    steps = _record_steps(monkeypatch)
     for walk in (count, _members):
         steps.clear()
         walk(w, d, alphabet, kind)

@@ -3,12 +3,20 @@ from dataclasses import replace
 
 import pytest
 
-from nbhood import ValidationError, VerifyConfig, bound_table_rows, run_verification
-from nbhood import distance, neighborhood
+from nbhood import (
+    KIND_CONDENSED,
+    ValidationError,
+    VerifyConfig,
+    bound_table_rows,
+    run_verification,
+)
+from nbhood import distance, neighborhood, verify
 from nbhood.verify import (
     EXPECTED_TABLE,
+    _case_sweep,
     _Recorder,
     _step_exact_distance,
+    _step_leftmost_structure,
     _step_oracle_equivalence,
 )
 
@@ -94,17 +102,47 @@ def test_repeated_alphabet_sizes_are_rejected():
             run_verification(replace(TINY, **{field: (2, 2)}))
 
 
+def test_the_leftmost_step_folds_once_per_pair(monkeypatch):
+    # the sweep and the exhaustive enumeration read one fold's rows
+    folds = []
+    fold = distance._exact
+
+    def counted(a, b):
+        folds.append((a, b))
+        return fold(a, b)
+
+    monkeypatch.setattr(distance, "_exact", counted)
+    monkeypatch.setattr(verify, "_exact", counted)
+    config = VerifyConfig(max_length=3, max_dist=2, sigmas=(2, 3))
+    rec = _Recorder()
+    _step_leftmost_structure(config, rec)
+    assert not rec.failures
+    pairs = [
+        (w.text, x)
+        for w, d in _case_sweep(config)
+        if d >= 1
+        for x in neighborhood._members(w, d, w.alphabet, KIND_CONDENSED)
+    ]
+    assert folds == pairs
+
+
 def _patch_a_equals_b(monkeypatch):
     # a symmetric fault, letters a and b comparing equal, that reaches the
-    # automaton and the production distance alike; only a DP of its own can
-    # tell
-    real = distance._row_step
+    # automaton (a and b share one match mask) and the production distance
+    # (its row step) alike; only a DP of its own can tell
+    real_step = distance._row_step
+    real_masks = neighborhood._match_masks
 
-    def faulty(row, symbol, w, cap, free_start=False):
-        return real(row, symbol.replace("b", "a"), w.replace("b", "a"), cap, free_start)
+    def faulty_step(row, symbol, w, cap):
+        return real_step(row, symbol.replace("b", "a"), w.replace("b", "a"), cap)
 
-    monkeypatch.setattr(distance, "_row_step", faulty)
-    monkeypatch.setattr(neighborhood, "_row_step", faulty)
+    def faulty_masks(w, symbols):
+        masks = real_masks(w, symbols)
+        masks["a"] = masks["b"] = masks["a"] | masks["b"]
+        return masks
+
+    monkeypatch.setattr(distance, "_row_step", faulty_step)
+    monkeypatch.setattr(neighborhood, "_match_masks", faulty_masks)
 
 
 def test_the_oracle_step_sees_a_fault_in_the_row_kernel(monkeypatch):
@@ -114,7 +152,9 @@ def test_the_oracle_step_sees_a_fault_in_the_row_kernel(monkeypatch):
         VerifyConfig(max_length=2, max_dist=1, sigmas=(2,), spot_samples=0), rec
     )
     assert rec.cases == 6 * 2 * 3
-    assert rec.failures
+    # only the condensed and super-condensed kinds of 'a', 'b', 'ab' and
+    # 'ba' at d = 1 come out right
+    assert len(rec.failures) == 28
 
 
 def test_the_exact_distance_step_sees_a_fault_in_the_row_kernel(monkeypatch):
@@ -127,4 +167,7 @@ def test_the_exact_distance_step_sees_a_fault_in_the_row_kernel(monkeypatch):
     rec = _Recorder()
     _step_exact_distance(VerifyConfig(max_length=2, max_dist=1, sigmas=(2,)), rec)
     assert rec.cases == 6
-    assert rec.failures
+    assert [f[0] for f in rec.failures] == [
+        "condensed members at exact distance: W='aa' d=1",
+        "condensed members at exact distance: W='bb' d=1",
+    ]
