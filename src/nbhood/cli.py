@@ -6,16 +6,16 @@ decimal strings so arbitrary-precision values survive any consumer; CSV
 uses a header row, LF line endings, and UTF-8.
 
 The parser is built once per process, so in-process callers of ``main``
-reuse it.
+reuse it. Importing this module loads only ``core``, ``distance`` and
+``neighborhood``, what the parser and ``enum``/``dist`` use; every other
+subcommand imports its own modules when it runs.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from fractions import Fraction
 
 from .core import (
     Alphabet,
@@ -23,6 +23,8 @@ from .core import (
     KIND_CONDENSED,
     KIND_FULL,
     KIND_SUPER_CONDENSED,
+    MODE_EXHAUSTIVE,
+    MODE_SAMPLED,
     NEIGHBORHOOD_KINDS,
     RangeError,
     ValidationError,
@@ -30,17 +32,8 @@ from .core import (
     make_alphabet,
     make_word,
 )
-from .counting import (
-    alignment_profile_bound,
-    bound_table_rows,
-    closed_form_bound_exact,
-    unary_condensed_count,
-    unary_super_condensed_count,
-)
 from .distance import _backtrack, _exact, _leftmost
-from .extremal import MODE_EXHAUSTIVE, MODE_SAMPLED, scan_extremal
 from .neighborhood import _members, _oracle, _query, count, resolve_budget
-from .verify import VerifyConfig, run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,6 +100,8 @@ def cmd_enum(args) -> int:
     alphabet = _resolve_alphabet(args)
     w, total, words = _enum_payload(args, alphabet)
     if args.format == "json":
+        import json
+
         payload = {
             "query": w.text,
             "distance": args.dist,
@@ -132,12 +127,18 @@ def cmd_enum(args) -> int:
 
 
 def cmd_formula(args) -> int:
+    from .counting import unary_condensed_count, unary_super_condensed_count
+
     fn = unary_condensed_count if args.kind == "unary-cn" else unary_super_condensed_count
     print(fn(args.length, args.dist, args.sigma))
     return EXIT_OK
 
 
 def cmd_bound(args) -> int:
+    from fractions import Fraction
+
+    from .counting import alignment_profile_bound, closed_form_bound_exact
+
     if args.kind == "f":
         exact = Fraction(alignment_profile_bound(args.length, args.dist, args.sigma))
     else:
@@ -148,6 +149,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    from .counting import bound_table_rows
+
     rows = bound_table_rows()
     if args.format == "csv":
         text = "panel,w,d,value\n" + "".join(
@@ -169,6 +172,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import VerifyConfig, run_verification
+
     config = VerifyConfig(
         max_length=args.max_length,
         max_dist=args.max_dist,
@@ -193,6 +198,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    from .extremal import scan_extremal
+
     report = scan_extremal(
         args.length,
         args.dist,

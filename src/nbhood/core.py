@@ -23,6 +23,10 @@ KIND_CONDENSED = "condensed"
 KIND_SUPER_CONDENSED = "super-condensed"
 NEIGHBORHOOD_KINDS = (KIND_FULL, KIND_CONDENSED, KIND_SUPER_CONDENSED)
 
+# how an extremal scan picks its words: all of them, or seeded draws
+MODE_EXHAUSTIVE = "exhaustive"
+MODE_SAMPLED = "sampled"
+
 SYMBOL_UNIVERSE = string.ascii_lowercase
 
 

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from .core import (
     KIND_CONDENSED,
     KIND_SUPER_CONDENSED,
+    MODE_EXHAUSTIVE,
+    MODE_SAMPLED,
     Alphabet,
     RangeError,
     alphabet_of_size,
     make_word,
 )
 from .neighborhood import check_budget, count
-
-MODE_EXHAUSTIVE = "exhaustive"
-MODE_SAMPLED = "sampled"
 
 _SCAN_KINDS = (KIND_CONDENSED, KIND_SUPER_CONDENSED)
 

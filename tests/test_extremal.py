@@ -141,3 +141,11 @@ def test_scan_parameter_validation():
         scan_extremal(3, 1, 2, mode="census")
     with pytest.raises(RangeError):
         scan_extremal(3, 1, 2, mode=MODE_SAMPLED, samples=0)
+
+
+def test_the_scan_modes_are_the_core_names():
+    # the parser reads them from core, so that it need not load this module
+    from nbhood import core
+
+    assert (MODE_EXHAUSTIVE, MODE_SAMPLED) == ("exhaustive", "sampled")
+    assert (MODE_EXHAUSTIVE, MODE_SAMPLED) == (core.MODE_EXHAUSTIVE, core.MODE_SAMPLED)
