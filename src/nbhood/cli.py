@@ -74,13 +74,13 @@ def cmd_dist(args) -> int:
     alphabet = _resolve_alphabet(args, fallback_chars=args.u + args.v)
     u = make_word(args.u, alphabet)
     v = make_word(args.v, alphabet)
-    # one fold: the distance is its last cell, and each alignment reads its rows
-    d, rows = _exact(u.text, v.text)
+    # one table: the distance is its last cell, and each alignment reads its columns
+    d, table = _exact(u.text, v.text)
     lines = [str(d)]
     if args.alignment:
-        lines.append(_backtrack(u.text, v.text, rows).render())
+        lines.append(_backtrack(u.text, v.text, table).render())
     if args.leftmost:
-        lines.append(_leftmost(u.text, v.text, rows).render())
+        lines.append(_leftmost(u.text, v.text, table).render())
     print("\n".join(lines))
     return EXIT_OK
 

@@ -37,6 +37,8 @@ def binom_ext(n: int, k: int) -> int:
 
 
 def _require_unary_range(w: int, d: int, s: int) -> None:
+    if w < 0:
+        raise RangeError(f"word length must be nonnegative, got {w}")
     if s < 1:
         raise RangeError(f"alphabet size must be at least 1, got {s}")
     if d < 0:

@@ -9,22 +9,25 @@ that order are broken by the column-class sequence (match < mismatch <
 insertion < deletion, compared left to right), which makes the selection
 a total order and the result fully deterministic.
 
-The edit-distance DP of a pair is written once, in ``_row_step``: one
-letter of the row against the prefixes of a word, saturated at a cap. One
-fold steps it, ``_band_rows``: a try at limit L folds only the diagonals
-that a path of cost at most L can use, about L + 1 cells a row (Ukkonen
-1985), and at a limit above every distance the whole row. The
-neighborhood automaton steps its rows with a second recurrence on
-bit-parallel threshold masks, ``neighborhood._mask_step``.
-``_optimal_steps`` is the one statement of which steps keep an alignment
-optimal.
+The edit-distance table of a pair is written once, in ``_columns``:
+column j of the table of a against b is kept as its vertical deltas, two
+len(a)-bit integers, and each column is a few big-integer operations on
+the last (Myers 1999; Hyyrö 2001), with no limit to guess. ``_cell`` reads
+any cell back from its column. The neighborhood automaton steps its rows
+with the second recurrence, on bit-parallel threshold masks,
+``neighborhood._mask_step``; both take their letters' match masks from
+``_match_masks``. ``_optimal_steps`` is the one statement of which steps
+keep an alignment optimal.
 
-``_fold`` is one try; ``in_neighborhood`` makes one at d, and ``_exact``
-tries rising limits. Each alignment reads the rows of ``_exact`` in place
-and walks optimal paths back from the last cell; ``nbhood dist`` folds
-once and hands the same rows to each alignment it prints.
+``levenshtein`` and ``in_neighborhood`` keep one column at a time;
+``_exact`` keeps all len(b) + 1 of them. Each alignment reads the columns
+of ``_exact`` and walks optimal paths back from the last cell; ``nbhood
+dist`` computes the columns once and hands them to each alignment it
+prints.
 """
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
 
 from .core import (
     Alignment,
@@ -43,134 +46,89 @@ DEFAULT_ORACLE_MAX_LEN = 12
 _CLASS_CODE = {MATCH: 0, MISMATCH: 1, INSERTION: 2, DELETION: 3}
 
 
-def _row_step(row: tuple[int, ...], symbol: str, w: str, cap: int) -> tuple[int, ...]:
-    """One letter of the edit-distance DP against the prefixes of w.
+def _match_masks(w: str, symbols: Iterable[str]) -> dict[str, int]:
+    """Each letter's match mask against w: bit k is set iff w[k] is the letter.
 
-    ``row[j]`` is min(dist(u, w[:j]), cap) for the word u read so far, and
-    the result is that row for u + symbol. Cells saturate at cap: with
-    cap = d + 1, values above d never influence a <= d test.
+    Both recurrences read their letters from it: ``_columns`` and
+    ``neighborhood._mask_step``.
     """
-    left = min(row[0] + 1, cap)
-    out = [left]
-    # min(diag + mismatch, above + 1, left + 1, cap), spelled out: this loop
-    # is the hot path, and comparisons run about twice as fast as min()
-    for diag, above, c in zip(row, row[1:], w):
-        if c != symbol:
-            diag += 1
-        if above < diag:
-            diag = above + 1
-        if left < diag:
-            diag = left + 1
-        left = diag if diag < cap else cap
-        out.append(left)
-    return tuple(out)
+    masks = dict.fromkeys(symbols, 0)
+    for k, c in enumerate(w):
+        masks[c] |= 1 << k
+    return masks
 
 
-def _banded(cap: int, n: int) -> bool:
-    """Whether to fold only the window of cap, against rows of n + 1 cells.
+def _columns(a: str, b: str) -> Iterator[tuple[int, int]]:
+    """The columns j = 0..len(b) of the edit-distance table of a against b.
 
-    Only when the window, about cap + 1 cells, is at most a quarter of the
-    row: on shorter rows cutting it costs more than the cells it skips.
+    Column j is yielded as its vertical deltas (pv, mv), for
+    D[i][j] = dist(a[:i], b[:j]): bit i - 1 of pv is set iff
+    D[i][j] - D[i - 1][j] is 1, and of mv iff it is -1 (``_cell`` reads
+    them back). Column 0 rises by one a row. Each next column is a few
+    big-integer operations on the last (Myers 1999, in Hyyrö's 2001 form
+    for the whole table): a carry through the runs of matches gives the
+    horizontal deltas (ph, mh) into the new column, which are shifted up a
+    row with row 0's, always 1, at the bottom, and give its vertical deltas.
     """
-    return 4 * (cap + 1) <= n
+    full = (1 << len(a)) - 1
+    # a mask for every letter of either word
+    eqs = _match_masks(a, a + b)
+    pv, mv = full, 0
+    yield pv, mv
+    for c in b:
+        eq = eqs[c]
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) << 1 | 1
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+        yield pv, mv
 
 
-def _band_rows(a: str, b: str, cap: int):
-    """The DP rows of a against the prefixes of b, cut to the window of limit cap - 1.
-
-    A path through the cell (i, j) on diagonal k = j - i costs at least
-    |k| + |delta - k|, delta = len(b) - len(a), so a path of cost at most
-    L = cap - 1 keeps to the window -left < k < right. Yields (lo, cells)
-    for rows i = 0..len(a), over the columns lo = max(0, i - left) to
-    min(len(b), i + right - 1): once lo > 0, a boundary cell, the cell above
-    plus one (``_row_step``'s column-0 rule), then the window. The window
-    holds the DP over the paths that keep to it, saturated at cap: the
-    boundary is never below the diagonal step right of it. So a cell on a
-    path of cost at most L reads its true value, and any other cell at
-    least its true value or cap. Assumes |delta| <= L.
-    """
-    n = len(b)
-    left, right = (cap - 1 - n + len(a)) // 2 + 1, (cap - 1 + n - len(a)) // 2 + 1
-    lo = 0
-    row = tuple(range(min(right, n + 1)))
-    yield lo, row
-    for i, symbol in enumerate(a, 1):
-        if i > left:
-            row = row[1:]
-            lo += 1
-        if i + right <= n + 1:
-            row += (cap,)
-        row = _row_step(row, symbol, b[lo : lo + len(row) - 1], cap)
-        yield lo, row
+def _cell(table: list[tuple[int, int]], i: int, j: int) -> int:
+    """D[i][j], off the columns of ``_columns``: j plus the deltas of rows 1..i."""
+    pv, mv = table[j]
+    low = (1 << i) - 1
+    return j + (pv & low).bit_count() - (mv & low).bit_count()
 
 
-def _fold(a: str, b: str, limit: int) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """One try at limit: min(edit distance, limit + 1), and the rows it folded.
-
-    The try stops at the first row above the limit in every cell, as each
-    path in the window crosses it.
-    """
-    rows: list[tuple[int, tuple[int, ...]]] = []
-    if abs(len(a) - len(b)) > limit:
-        return limit + 1, rows
-    for lo, row in _band_rows(a, b, limit + 1):
-        rows.append((lo, row))
-        if min(row) > limit:
-            return limit + 1, rows
-    return row[-1], rows
+def _distance(a: str, b: str) -> int:
+    """The edit distance of a and b, keeping one column at a time."""
+    for pv, mv in _columns(a, b):
+        pass
+    return len(b) + pv.bit_count() - mv.bit_count()
 
 
-def _exact(a: str, b: str) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """The edit distance d, and the DP rows (lo, cells) of the fold that found it.
-
-    Each cell of an optimal path lies in its row's span and reads its true
-    value; any other reads at least that, or above d. Ukkonen's cutoff tries
-    limits from max(1, length difference). A try that dies at row i restarts
-    at ceil((limit + 1) * len(a) / i), the limit its rows would reach by the
-    last row, but at least twice and at most four times the old one, as a
-    wider window dies later. Where the window would not pay, whole rows.
-    """
-    m, n = len(a), len(b)
-    limit = max(1, abs(m - n))
-    while _banded(limit + 1, n):
-        d, rows = _fold(a, b, limit)
-        if d <= limit:
-            return d, rows
-        limit = min(4 * limit, max(2 * limit, -(-(limit + 1) * m // (len(rows) - 1))))
-    rows = list(_band_rows(a, b, m + n + 1))
-    return rows[-1][1][-1], rows
+def _exact(a: str, b: str) -> tuple[int, list[tuple[int, int]]]:
+    """The edit distance of a and b, and every column of their table."""
+    table = list(_columns(a, b))
+    return _cell(table, len(a), len(b)), table
 
 
 def levenshtein(u: Word, v: Word) -> int:
     """Minimum number of insertions, deletions, and substitutions turning u into v."""
     require_same_alphabet(u, v)
-    return _exact(u.text, v.text)[0]
+    return _distance(u.text, v.text)
 
 
-def _optimal_steps(a: str, b: str, rows, i: int, j: int):
+def _optimal_steps(a: str, b: str, table, i: int, j: int):
     """The steps into cell (i, j) of an optimal path that come from one.
 
-    ``rows`` are those of ``_exact(a, b)``, and P(i, j) is ``cells[j - lo]``
-    inside row i's span and d + 1 outside it. Yields (class code, previous
-    cell): the diagonal step (match 0, mismatch 1), then the deletion, then
-    the insertion. A step keeps the path optimal exactly when P of the cell
-    it leaves plus its cost equals P(i, j): P reads each cell of an optimal
-    path exactly, and any other at least its true value or above d.
+    ``table`` is the columns of ``_exact(a, b)``, read through ``_cell``.
+    Yields (class code, previous cell): the diagonal step (match 0,
+    mismatch 1), then the deletion, then the insertion. A step keeps the
+    path optimal exactly when the cell it leaves plus its cost equals
+    D[i][j].
     """
-    out = rows[-1][1][-1] + 1
-
-    def p(i: int, j: int) -> int:
-        lo, cells = rows[i]
-        return cells[j - lo] if lo <= j < lo + len(cells) else out
-
-    here = p(i, j)
+    here = _cell(table, i, j)
     if i and j:
         c = int(a[i - 1] != b[j - 1])
-        if p(i - 1, j - 1) + c == here:
+        if _cell(table, i - 1, j - 1) + c == here:
             yield c, (i - 1, j - 1)
-    if i and p(i - 1, j) + 1 == here:
+    if i and _cell(table, i - 1, j) + 1 == here:
         yield _CLASS_CODE[DELETION], (i - 1, j)
-    if j and p(i, j - 1) + 1 == here:
+    if j and _cell(table, i, j - 1) + 1 == here:
         yield _CLASS_CODE[INSERTION], (i, j - 1)
 
 
@@ -190,12 +148,12 @@ def optimal_alignment(u: Word, v: Word) -> Alignment:
     return _backtrack(u.text, v.text, _exact(u.text, v.text)[1])
 
 
-def _backtrack(a: str, b: str, rows) -> Alignment:
-    """``optimal_alignment`` of a over b, off the rows of ``_exact(a, b)``."""
+def _backtrack(a: str, b: str, table) -> Alignment:
+    """``optimal_alignment`` of a over b, off the columns of ``_exact(a, b)``."""
     cols: list[Column] = []
     i, j = len(a), len(b)
     while i or j:
-        _, (pi, pj) = next(_optimal_steps(a, b, rows, i, j))
+        _, (pi, pj) = next(_optimal_steps(a, b, table, i, j))
         cols.append(_column(a, b, pi, pj, i, j))
         i, j = pi, pj
     return Alignment(tuple(reversed(cols)))
@@ -222,8 +180,8 @@ def _require_short(a: str, b: str, max_len: int = DEFAULT_ORACLE_MAX_LEN) -> Non
         )
 
 
-def _alignments(a: str, b: str, rows) -> tuple[Alignment, ...]:
-    """``enumerate_optimal_alignments`` of a over b, off the rows of ``_exact(a, b)``."""
+def _alignments(a: str, b: str, table) -> tuple[Alignment, ...]:
+    """``enumerate_optimal_alignments`` of a over b, off the columns of ``_exact(a, b)``."""
     out: list[Alignment] = []
     acc: list[Column] = []
 
@@ -231,7 +189,7 @@ def _alignments(a: str, b: str, rows) -> tuple[Alignment, ...]:
         if not (i or j):
             out.append(Alignment(tuple(reversed(acc))))
             return
-        for _, (pi, pj) in _optimal_steps(a, b, rows, i, j):
+        for _, (pi, pj) in _optimal_steps(a, b, table, i, j):
             acc.append(_column(a, b, pi, pj, i, j))
             walk(pi, pj)
             acc.pop()
@@ -277,8 +235,8 @@ def leftmost_optimal_alignment(top: Word, bottom: Word) -> Alignment:
     return _leftmost(top.text, bottom.text, _exact(top.text, bottom.text)[1])
 
 
-def _leftmost(a: str, b: str, rows) -> Alignment:
-    """``leftmost_optimal_alignment`` of a over b, off the rows of ``_exact(a, b)``."""
+def _leftmost(a: str, b: str, table) -> Alignment:
+    """``leftmost_optimal_alignment`` of a over b, off the columns of ``_exact(a, b)``."""
     # The cells of optimal paths, each with its onward optimal steps,
     # reached by walking the steps into them back from the last cell.
     end = (len(a), len(b))
@@ -286,7 +244,7 @@ def _leftmost(a: str, b: str, rows) -> Alignment:
     todo = [end]
     while todo:
         cell = todo.pop()
-        for code, prev in _optimal_steps(a, b, rows, *cell):
+        for code, prev in _optimal_steps(a, b, table, *cell):
             if prev not in steps:
                 todo.append(prev)
             steps.setdefault(prev, []).append((code, cell))

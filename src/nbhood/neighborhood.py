@@ -12,7 +12,10 @@ Both production routes run on one automaton whose state is the saturated
 DP row of the word read so far, kept as bit-parallel threshold masks and
 stepped by ``_mask_step``, a few big-integer operations per mask (Wu &
 Manber 1992). Only the masks between the row's least cell and d that are
-not full are kept, so a step costs O(min(d, |W|)) mask operations.
+not full are kept, so a step costs O(min(d, |W|)) mask operations. Its
+letters' match masks come from ``distance._match_masks``, which the
+distance's column kernel reads too; ``in_neighborhood`` tests one pair by
+that kernel, after rejecting lengths more than d apart.
 ``count`` makes a forward pass over the distinct states, one word length
 at a time, carrying how many words reach each state; ``_members``, the one
 listing walk, checks its query once and walks the word trie depth first
@@ -52,7 +55,7 @@ from .core import (
     require_same_alphabet,
     require_word,
 )
-from .distance import _fold
+from .distance import _distance, _match_masks
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "NBHOOD_BUDGET"
@@ -100,22 +103,18 @@ def _query(w: Word, d: int, alphabet: Alphabet, kind: str) -> Word:
 
 
 def in_neighborhood(u: Word, w: Word, d: int) -> bool:
-    """True iff u lies within Levenshtein distance d of w: one windowed try at d."""
+    """True iff u lies within Levenshtein distance d of w.
+
+    Words whose lengths differ by more than d are out at once; otherwise
+    the distance, one column at a time.
+    """
     _require_distance(d)
     require_same_alphabet(u, w)
-    return _fold(u.text, w.text, d)[0] <= d
+    return abs(len(u) - len(w)) <= d and _distance(u.text, w.text) <= d
 
 
 _Row = tuple[int, ...]
 _State = tuple[_Row, _Row | None]
-
-
-def _match_masks(w: str, symbols: tuple[str, ...]) -> dict[str, int]:
-    """Each letter's match mask against w: bit j is set iff w[j - 1] is the letter."""
-    masks = dict.fromkeys(symbols, 0)
-    for j, c in enumerate(w, 1):
-        masks[c] |= 1 << j
-    return masks
 
 
 def _mask_step(row: _Row, match: int, d: int, full: int, free_start: bool = False) -> _Row:
@@ -126,11 +125,12 @@ def _mask_step(row: _Row, match: int, d: int, full: int, free_start: bool = Fals
     r[j] <= k. Every mask below m is 0. Adjacent cells differ by at most 1,
     so the masks grow to full within |w| steps of m; the tuple holds those
     from m up to d that are not full, and every later one is full. A row
-    above d everywhere is (d + 1,). ``match`` is the letter's match mask and
+    above d everywhere is (d + 1,). ``match`` is the letter's match mask
+    from ``distance._match_masks``, bit k set iff w[k] is the letter, and
     ``full`` has bits 0..|w| set. The row of the word read plus the letter
     is, mask by mask (Wu & Manber 1992; Baeza-Yates & Navarro 1999),
 
-        R'_k = ((R_k << 1) & match) | (R_k-1 << 1) | R_k-1 | (R'_k-1 << 1)
+        R'_k = ((R_k & match) << 1) | (R_k-1 << 1) | R_k-1 | (R'_k-1 << 1)
 
     cut to |w| + 1 bits: the diagonal on a match, the diagonal on a
     mismatch, the cell above, the cell to the left. Column 0 gains one, or
@@ -148,7 +148,7 @@ def _mask_step(row: _Row, match: int, d: int, full: int, free_start: bool = Fals
     while k <= d:
         cur = 0 if k < base else row[k - base + 1] if k < top else full
         # free_start, as 1 or 0, is bit 0
-        new = ((cur << 1) & match) | (((old | new) << 1 | old) & full) | free_start
+        new = ((cur & match) << 1) | (((old | new) << 1 | old) & full) | free_start
         if new == full:
             break
         if new:

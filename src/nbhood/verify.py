@@ -263,11 +263,11 @@ def _step_leftmost_structure(config: VerifyConfig, rec: _Recorder) -> None:
             continue
         for t in _members(w, d, w.alphabet, KIND_CONDENSED):
             x = make_word(t, w.alphabet)
-            # one fold feeds the sweep and the exhaustive enumeration
+            # one table feeds the sweep and the exhaustive enumeration
             _require_short(w.text, t)
-            rows = _exact(w.text, t)[1]
-            a = _leftmost(w.text, t, rows)
-            best = min(_alignments(w.text, t, rows), key=alignment_order_key)
+            table = _exact(w.text, t)[1]
+            a = _leftmost(w.text, t, table)
+            best = min(_alignments(w.text, t, table), key=alignment_order_key)
             rec.claim(
                 f"leftmost matches exhaustive minimum: W={w.text!r} x={x.text!r} d={d}",
                 a == best,

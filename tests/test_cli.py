@@ -137,8 +137,7 @@ def test_dist_argument_vectors_end_in_a_result_or_one_error_line(case):
 @st.composite
 def dist_pairs(draw):
     # two words of 0-6 letters, or a word of 28-40 letters and a copy of it
-    # with at most four edits, long next to their distance, so that the
-    # fold cuts its rows to a window
+    # with at most four edits, long next to their distance
     if draw(st.booleans()):
         word = st.text(alphabet="abc", max_size=6)
         return draw(word), draw(word)
@@ -163,17 +162,17 @@ def test_dist_prints_the_public_results_from_one_fold(pair, flags):
         want.append(nbhood.optimal_alignment(u, v).render())
     if "--leftmost" in flags:
         want.append(nbhood.leftmost_optimal_alignment(u, v).render())
-    folds = []
-    fold = distance._exact
+    calls = []
+    real = distance._exact
 
     def counted(x, y):
-        folds.append((x, y))
-        return fold(x, y)
+        calls.append((x, y))
+        return real(x, y)
 
     with mock.patch.object(distance, "_exact", counted), mock.patch.object(cli, "_exact", counted):
         code, out, err = _call(["dist", a, b, "--alphabet", "abcd", *flags])
     assert (code, out, err) == (EXIT_OK, "\n".join(want) + "\n", "")
-    assert folds == [(a, b)]
+    assert calls == [(a, b)]
 
 
 @st.composite
@@ -676,11 +675,18 @@ def test_formula_values(capsys):
 
 
 def test_formula_range_errors_exit_one(capsys):
-    code, _, err = run_cli(
-        capsys, "formula", "unary-cn", "--length", "3", "--dist", "4", "--sigma", "2"
-    )
-    assert code == EXIT_USAGE
-    assert err.startswith("nbhood: error:")
+    # one bad field each; a bad length is named before any other field
+    for (w, d, s), message in [
+        ((-1, 0, 2), "word length must be nonnegative, got -1"),
+        ((-1, -5, 0), "word length must be nonnegative, got -1"),
+        ((3, -1, 2), "distance must be nonnegative, got -1"),
+        ((3, 4, 2), "distance 4 exceeds word length 3"),
+        ((3, 1, 0), "alphabet size must be at least 1, got 0"),
+    ]:
+        for kind in ("unary-cn", "unary-scn"):
+            argv = ("--length", str(w), "--dist", str(d), "--sigma", str(s))
+            code, out, err = run_cli(capsys, "formula", kind, *argv)
+            assert (code, out, err) == (EXIT_USAGE, "", f"nbhood: error: {message}\n"), argv
 
 
 def test_bound_values(capsys):

@@ -43,12 +43,18 @@ def test_binom_ext_matches_comb_in_standard_range(n, k):
 
 
 def test_unary_range_validation():
-    with pytest.raises(RangeError):
-        unary_condensed_count(3, 4, 2)
-    with pytest.raises(RangeError):
-        unary_condensed_count(3, -1, 2)
-    with pytest.raises(RangeError):
-        unary_super_condensed_count(3, 1, 0)
+    # one bad field each; a bad length is named before any other field
+    for args, message in [
+        ((-1, 0, 2), "word length must be nonnegative, got -1"),
+        ((-1, -5, 0), "word length must be nonnegative, got -1"),
+        ((3, -1, 2), "distance must be nonnegative, got -1"),
+        ((3, 4, 2), "distance 4 exceeds word length 3"),
+        ((3, 1, 0), "alphabet size must be at least 1, got 0"),
+    ]:
+        for formula in (unary_condensed_count, unary_super_condensed_count):
+            with pytest.raises(RangeError) as info:
+                formula(*args)
+            assert str(info.value) == message, (formula.__name__, args)
 
 
 def test_unary_counts_at_distance_zero():

@@ -1,7 +1,6 @@
 """Edit distance, optimal alignments, and the leftmost-alignment order."""
 import functools
 import itertools
-import random
 
 import pytest
 from hypothesis import assume, example, given
@@ -25,7 +24,7 @@ from nbhood import (
     mm_index_sequence,
     optimal_alignment,
 )
-from nbhood.distance import _band_rows, _banded, _exact, _fold
+from nbhood.distance import _cell, _exact
 from nbhood.neighborhood import _plain_dist
 
 A2 = alphabet_of_size(2)
@@ -99,52 +98,21 @@ def _ref_backtrack(a: str, b: str) -> tuple[Column, ...]:
     return tuple(reversed(cols))
 
 
-def _window_dp(a: str, b: str, spans):
-    """The DP over paths that keep to the given column spans, row by row.
-
-    ``spans[i]`` is (lo, hi), the columns lo..hi of row i. A row whose span
-    starts right of column 0 begins with a boundary cell, the cell above
-    plus one; every other cell is the least of its three steps from cells
-    in the spans. Plain loops, independent of the production row step.
-    """
-    inf = float("inf")
-    dp = {(0, 0): 0}
-    for i, (lo, hi) in enumerate(spans):
-        for j in range(lo, hi + 1):
-            if (i, j) == (0, 0):
-                continue
-            if j == lo > 0:
-                dp[i, j] = dp[i - 1, j] + 1
-                continue
-            steps = [dp.get((i - 1, j), inf) + 1, dp.get((i, j - 1), inf) + 1]
-            if i and j:
-                steps.append(dp.get((i - 1, j - 1), inf) + (a[i - 1] != b[j - 1]))
-            dp[i, j] = min(steps)
-    return dp
-
-
 def _check_exact(a: str, b: str, exact: int) -> None:
-    # the one table the alignments read: the rows of the fold that found d.
-    # Inside each row's span every cell is the DP over paths that keep to
-    # the spans, saturated at the fold's cap: the largest cell, above d
-    # unless no cell saturates. Every cell of an optimal path lies in its
-    # row's span and reads its true value; every cell outside the spans
-    # lies on no optimal path.
-    d, rows = _exact(a, b)
+    # the one table the alignments read: every column of the table of a
+    # against b, as its vertical deltas. Each column holds exactly the
+    # deltas of the plain-loop table, bit i - 1 for row i and no bit past
+    # row len(a), and every cell read back through _cell is its true value.
+    d, cols = _exact(a, b)
     assert d == exact
-    assert len(rows) == len(a) + 1
-    dp, sfx = _ref_tables(a, b)
-    window = _window_dp(a, b, [(lo, lo + len(cells) - 1) for lo, cells in rows])
-    cap = max(max(cells) for _, cells in rows)
-    assert cap > d or cap == max(window.values())
-    for i, (lo, cells) in enumerate(rows):
-        for j in range(len(b) + 1):
-            on_path = dp[i][j] + sfx[i][j] == d
-            if lo <= j < lo + len(cells):
-                assert cells[j - lo] == min(window[i, j], cap), (i, j)
-                assert not on_path or cells[j - lo] == dp[i][j], (i, j)
-            else:
-                assert not on_path, (i, j)
+    assert len(cols) == len(b) + 1
+    dp = _ref_tables(a, b)[0]
+    for j, (pv, mv) in enumerate(cols):
+        deltas = [dp[i][j] - dp[i - 1][j] for i in range(1, len(a) + 1)]
+        assert pv == sum(1 << k for k, x in enumerate(deltas) if x == 1), j
+        assert mv == sum(1 << k for k, x in enumerate(deltas) if x == -1), j
+        for i in range(len(a) + 1):
+            assert _cell(cols, i, j) == dp[i][j], (i, j)
 
 
 def _w(text: str, alphabet=A3):
@@ -187,21 +155,15 @@ def test_the_oracle_dp_matches_the_reference(a, b):
         )
     )
 )
-def test_the_row_kernel_matches_the_reference_everywhere(case):
-    # every DP built on the one row step, cell by cell, against the recursion:
-    # the whole-row fold that _exact takes on short rows, of the
-    # words and of the reversed words, and the table the alignments read
+def test_the_column_kernel_matches_the_reference_everywhere(case):
+    # every column of the table, cell by cell, against plain loops, of the
+    # words and of the reversed words, the distance against the recursion,
+    # and one threshold test at each of several limits
     alphabet, a, b = case
-    m, n = len(a), len(b)
-    for x, y in ((a, b), (a[::-1], b[::-1])):
-        rows = list(_band_rows(x, y, m + n + 1))
-        assert [lo for lo, _ in rows] == [0] * (m + 1)
-        for i, (_, row) in enumerate(rows):
-            assert row == tuple(_ref_dist(x[:i], y[:j]) for j in range(n + 1)), (x, i)
     exact = _ref_dist(a, b)
     _check_exact(a, b, exact)
+    _check_exact(a[::-1], b[::-1], exact)
     for limit in range(4):
-        assert _fold(a, b, limit)[0] == min(exact, limit + 1), limit
         assert in_neighborhood(_w(a, alphabet), _w(b, alphabet), limit) == (exact <= limit)
 
 
@@ -223,18 +185,14 @@ def near_pairs(draw):
 
 
 @given(near_pairs())
-def test_the_band_matches_the_reference_on_long_near_pairs(pair):
+def test_the_columns_match_the_reference_on_long_near_pairs(pair):
     a, b = pair
     exact = _ref_dist(a, b)
     assert exact <= 4
-    # the band is narrower than the row for every cap used below, so the
-    # banded fold, the cutoff's restarts and the band rows that the
-    # alignments read are all exercised
-    assert all(_banded(cap, min(len(a), len(b))) for cap in range(1, 6))
     _check_exact(a, b, exact)
-    for limit in range(5):
-        assert _fold(a, b, limit)[0] == min(exact, limit + 1), limit
     u, v = _w(a, A4), _w(b, A4)
+    for limit in range(5):
+        assert in_neighborhood(u, v, limit) == (exact <= limit), limit
     best = min(enumerate_optimal_alignments(u, v, max_len=44), key=alignment_order_key)
     assert alignment_order_key(leftmost_optimal_alignment(u, v)) == alignment_order_key(best)
     assert optimal_alignment(u, v).cost == levenshtein(u, v) == exact
@@ -249,18 +207,17 @@ def test_optimal_alignment_is_the_reference_backtrack(pair):
 @st.composite
 def far_pairs(draw):
     # two words of 30-60 letters, equal up to a common prefix of at most 20
-    # letters and drawn apart after it: the longer the prefix, the later
-    # the cutoff's first try dies, and the narrower the band it restarts at
+    # letters and drawn apart after it
     common = draw(st.text(alphabet="abcd", max_size=20))
     tails = st.text(alphabet="abcd", min_size=30 - len(common), max_size=60 - len(common))
     return common + draw(tails), common + draw(tails)
 
 
 @given(far_pairs())
-@example(("abcd" * 5 + "a" * 30, "abcd" * 5 + "b" * 30))  # two tries die
+@example(("abcd" * 5 + "a" * 30, "abcd" * 5 + "b" * 30))
 def test_long_far_pairs_match_the_reference(pair):
-    # above a quarter of the shorter word every band the cutoff tries is
-    # too narrow, so each try dies, and the plain fold gives the distance
+    # a distance above a quarter of the shorter word: most cells of the
+    # table lie far from its diagonal, and every one is checked
     a, b = pair
     exact = _ref_dist(a, b)
     assume(4 * exact > min(len(a), len(b)))
@@ -268,39 +225,9 @@ def test_long_far_pairs_match_the_reference(pair):
     assert levenshtein(u, v) == exact
     _check_exact(a, b, exact)
     for limit in (0, 1, 3, 7, exact - 1, exact, exact + 1):
-        assert _fold(a, b, limit)[0] == min(exact, limit + 1), limit
+        assert in_neighborhood(u, v, limit) == (exact <= limit), limit
     for al in (optimal_alignment(u, v), leftmost_optimal_alignment(u, v)):
         assert (al.cost, al.top_text, al.bottom_text) == (exact, a, b)
-
-
-def _edited_pairs(count: int, seed: int):
-    # words of 150-300 letters over 2-4 letters, each with a copy that has
-    # about one edit in ten: 4% deletions, 3% insertions, 3% substitutions
-    rng = random.Random(seed)
-    for _ in range(count):
-        letters = "abcd"[: rng.randint(2, 4)]
-        a = "".join(rng.choice(letters) for _ in range(rng.randint(150, 300)))
-        b = []
-        for ch in a:
-            roll = rng.random()
-            if roll < 0.04:
-                continue
-            if roll < 0.07:
-                b.append(rng.choice(letters))
-            elif roll < 0.10:
-                ch = rng.choice(letters)
-            b.append(ch)
-        yield a, "".join(b)
-
-
-def test_long_near_pairs_never_fall_back_to_whole_rows():
-    # a restart that overshoots the distance asks for a window too wide to
-    # pay, and the fold takes whole rows; bounding the restart at four times
-    # the old limit keeps every one of these pairs in a window, where an
-    # unbounded restart sends about one in six to whole rows
-    for a, b in _edited_pairs(100, seed=0):
-        rows = _exact(a, b)[1]
-        assert all(len(cells) <= len(b) for _, cells in rows), (len(a), len(b))
 
 
 def _ref_leftmost_columns(a: str, b: str) -> tuple[Column, ...]:

@@ -103,13 +103,13 @@ def test_repeated_alphabet_sizes_are_rejected():
 
 
 def test_the_leftmost_step_folds_once_per_pair(monkeypatch):
-    # the sweep and the exhaustive enumeration read one fold's rows
-    folds = []
-    fold = distance._exact
+    # the sweep and the exhaustive enumeration read one table's columns
+    calls = []
+    real = distance._exact
 
     def counted(a, b):
-        folds.append((a, b))
-        return fold(a, b)
+        calls.append((a, b))
+        return real(a, b)
 
     monkeypatch.setattr(distance, "_exact", counted)
     monkeypatch.setattr(verify, "_exact", counted)
@@ -123,26 +123,24 @@ def test_the_leftmost_step_folds_once_per_pair(monkeypatch):
         if d >= 1
         for x in neighborhood._members(w, d, w.alphabet, KIND_CONDENSED)
     ]
-    assert folds == pairs
+    assert calls == pairs
 
 
 def _patch_a_equals_b(monkeypatch):
     # a symmetric fault, letters a and b comparing equal, that reaches the
-    # automaton (a and b share one match mask) and the production distance
-    # (its row step) alike; only a DP of its own can tell
-    real_step = distance._row_step
-    real_masks = neighborhood._match_masks
-
-    def faulty_step(row, symbol, w, cap):
-        return real_step(row, symbol.replace("b", "a"), w.replace("b", "a"), cap)
+    # automaton and the production distance alike through the one source of
+    # their match masks; only a DP of its own can tell
+    real_masks = distance._match_masks
 
     def faulty_masks(w, symbols):
         masks = real_masks(w, symbols)
-        masks["a"] = masks["b"] = masks["a"] | masks["b"]
+        masks["a"] = masks["b"] = masks.get("a", 0) | masks.get("b", 0)
         return masks
 
-    monkeypatch.setattr(distance, "_row_step", faulty_step)
+    monkeypatch.setattr(distance, "_match_masks", faulty_masks)
     monkeypatch.setattr(neighborhood, "_match_masks", faulty_masks)
+    # the fault is in: the production distance puts a at 0 from b
+    assert distance._distance("a", "b") == 0
 
 
 def test_the_oracle_step_sees_a_fault_in_the_row_kernel(monkeypatch):
