@@ -135,12 +135,10 @@ def cmd_formula(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    from fractions import Fraction
-
     from .counting import alignment_profile_bound, closed_form_bound_exact
 
     if args.kind == "f":
-        exact = Fraction(alignment_profile_bound(args.length, args.dist, args.sigma))
+        exact = alignment_profile_bound(args.length, args.dist, args.sigma)
     else:
         exact = closed_form_bound_exact(args.length, args.dist, args.sigma)
     value = exact.__floor__()

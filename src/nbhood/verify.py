@@ -390,6 +390,10 @@ def run_verification(config: VerifyConfig | None = None, report=None) -> Verific
         # a repeated alphabet size would run its sweeps twice over
         if len(set(sizes)) != len(sizes):
             raise ValidationError(f"{label} must not repeat, got {list(sizes)}")
+    for s in config.lemma_sigmas:
+        # the lemma chain needs s >= 2; refuse before any step reports
+        if s < 2:
+            raise RangeError(f"alphabet size must be at least 2, got {s}")
     summary = VerificationSummary()
     start = time.perf_counter()
     for name, step in _STEPS:

@@ -1,6 +1,6 @@
 """Closed-form counts, the two upper bounds, and the inequality chain."""
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +23,8 @@ from nbhood import (
     unary_condensed_count,
     unary_super_condensed_count,
 )
-from nbhood.counting import PANEL_CLOSED_FORM, PANEL_PROFILE, TABLE_LENGTHS
+from nbhood import counting
+from nbhood.counting import PANEL_CLOSED_FORM, PANEL_PROFILE, TABLE_LENGTHS, LemmaCheck
 
 
 def test_binom_ext_edge_table():
@@ -224,3 +225,85 @@ def test_lemma_chain_range_validation():
         check_bound_lemmas(5, 6, 2)
     with pytest.raises(RangeError):
         check_bound_lemmas(5, 2, 1)
+
+
+# Each lemma as the paper states it, in exact rationals: the reference for
+# the checks in counting, which compare integers with the denominators cleared.
+def _half_sums(w, d):
+    return Fraction(2 * w + d + 1, 2), Fraction(2 * w - d + 3, 2)
+
+
+def _ref_expansion_identity(w, d, s):
+    lhs = sum(
+        Fraction((s - 1) ** (d - x) * 2 ** (d - x) * w**d, factorial(x) * factorial(d - x))
+        for x in range(d + 1)
+    )
+    ok = lhs == closed_form_bound_exact(w, d, s)
+    return LemmaCheck("expansion_identity", ((w, d, s),), () if ok else ((w, d, s),))
+
+
+def _ref_shifted_square_bound(w, d):
+    a, b = _half_sums(w, d)
+    ts = [Fraction(d, 4)]
+    ts.extend(Fraction(t) for t in range((d + 3) // 4, d) if Fraction(t) != Fraction(d, 4))
+    failures = tuple(t for t in ts if (w - t + 1) ** 2 > a * b)
+    return LemmaCheck("shifted_square_bound", tuple(ts), failures)
+
+
+def _ref_shifted_quartic_bound(w, d):
+    a, b = _half_sums(w, d)
+    ts = tuple(range(d // 4 + 1))
+    failures = tuple(
+        t for t in ts if Fraction((w + 2 * t) * (w + 2 * t - 1)) * (w - t + 1) ** 2 > a**3 * b
+    )
+    return LemmaCheck("shifted_quartic_bound", ts, failures)
+
+
+def _ref_binomial_pair_bound(w, d):
+    a, b = _half_sums(w, d)
+    js = tuple(range(d + 1))
+    failures = tuple(
+        j
+        for j in js
+        if binom_ext(w, j) * binom_ext(w + d - 2 * j, d - j)
+        > a ** (d - j) * b**j / (factorial(j) * factorial(d - j))
+    )
+    return LemmaCheck("binomial_pair_bound", js, failures)
+
+
+def _ref_central_sum_bound(w, d):
+    lhs = sum(binom_ext(w, j) * binom_ext(w + d - 2 * j, d - j) for j in range(d + 1))
+    ok = lhs <= Fraction(2**d * (w + 1) ** d, factorial(d))
+    return LemmaCheck("central_sum_bound", ((w, d),), () if ok else ((w, d),))
+
+
+def _ref_chain_dominance(w, d, s, layouts):
+    if d >= w:
+        return LemmaCheck("chain_dominance", (), ())
+    relaxed = sum(n * (s - 1) ** (d - x) for x, n in enumerate(layouts))
+    ok = alignment_profile_bound(w, d, s) <= relaxed <= closed_form_bound_exact(w, d, s)
+    return LemmaCheck("chain_dominance", ((w, d, s),), () if ok else ((w, d, s),))
+
+
+def test_integer_lemma_checks_match_their_rational_statements():
+    # far outside the lemmas' hypotheses too, where about half the checks
+    # fail: no verdict may flip, even where 2w - d + 3 < 0
+    cases = []
+    for w in range(30):
+        for d in range(3 * w + 8):
+            cases.append((counting._shifted_square_bound, _ref_shifted_square_bound, (w, d)))
+            cases.append((counting._shifted_quartic_bound, _ref_shifted_quartic_bound, (w, d)))
+            cases.append((counting._binomial_pair_bound, _ref_binomial_pair_bound, (w, d)))
+            cases.append((counting._central_sum_bound, _ref_central_sum_bound, (w, d)))
+        # the closed form, and so both s-dependent checks, needs d <= w
+        for d in range(w + 1):
+            layouts = counting._relaxed_layouts(w, d)
+            for s in range(1, 5):
+                cases.append((counting._expansion_identity, _ref_expansion_identity, (w, d, s)))
+                cases.append(
+                    (counting._chain_dominance, _ref_chain_dominance, (w, d, s, layouts))
+                )
+    mismatches = [
+        (check.__name__, args[:3]) for check, ref, args in cases if check(*args) != ref(*args)
+    ]
+    assert mismatches == []

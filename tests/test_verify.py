@@ -5,6 +5,7 @@ import pytest
 
 from nbhood import (
     KIND_CONDENSED,
+    RangeError,
     ValidationError,
     VerifyConfig,
     bound_table_rows,
@@ -100,6 +101,14 @@ def test_repeated_alphabet_sizes_are_rejected():
     for field in ("sigmas", "lemma_sigmas"):
         with pytest.raises(ValidationError, match=f"^{field} must not repeat, got \\[2, 2\\]$"):
             run_verification(replace(TINY, **{field: (2, 2)}))
+
+
+def test_a_lemma_alphabet_below_two_is_refused_before_any_step_runs():
+    reported = []
+    config = VerifyConfig(max_length=1, max_dist=0, sigmas=(2,), lemma_sigmas=(1, 2))
+    with pytest.raises(RangeError, match="^alphabet size must be at least 2, got 1$"):
+        run_verification(config, report=reported.append)
+    assert reported == []
 
 
 def test_the_leftmost_step_folds_once_per_pair(monkeypatch):
