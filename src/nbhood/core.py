@@ -1,15 +1,15 @@
 """Shared domain types: alphabets, words, alignment columns, result records.
 
 All values are immutable after construction and safe to share freely.
-Counts are plain Python integers (arbitrary precision); exact rationals
-use ``fractions.Fraction``.
+They are plain classes with ``__slots__``, not dataclasses: importing
+``dataclasses`` (and the ``inspect`` it loads) and generating their
+methods took most of the CLI's cold start. The ``_Value`` base gives
+each the value semantics a frozen dataclass had. Counts are plain Python
+integers (arbitrary precision); exact rationals use ``fractions.Fraction``.
 """
 from __future__ import annotations
 
 import operator
-import string
-from collections.abc import Callable
-from dataclasses import dataclass, field
 
 GAP = "-"
 
@@ -27,7 +27,7 @@ NEIGHBORHOOD_KINDS = (KIND_FULL, KIND_CONDENSED, KIND_SUPER_CONDENSED)
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
 
-SYMBOL_UNIVERSE = string.ascii_lowercase
+SYMBOL_UNIVERSE = "abcdefghijklmnopqrstuvwxyz"
 
 
 class ValidationError(ValueError):
@@ -42,26 +42,59 @@ class BudgetError(RuntimeError):
     """An exhaustive computation would exceed its configured budget."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+_set = object.__setattr__  # fills a slot past _Value.__setattr__; only __init__ uses it
+
+
+class _Value:
+    """Immutable value; each ``__init__`` stores its arguments as ``_key``.
+
+    Two values are equal when they are of one class with equal keys, and
+    hash as their key; pickling and copying rebuild them from it. The
+    ``repr`` lists the public slots, in order.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key
+
+
+class Alphabet(_Value):
     """Ordered set of distinct single characters.
 
     The symbol order is fixed for the lifetime of the value and defines
     the canonical (dictionary) order on words.
     """
 
-    symbols: tuple[str, ...]
-    _symbol_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    # the canonical-order key on texts: each symbol becomes chr(rank), so
-    # keys compare as the rank tuples do, and a proper prefix sorts first
-    _order: Callable[[str], str] = field(init=False, repr=False, compare=False)
+    # _order is the canonical-order key on texts: each symbol becomes
+    # chr(rank), so keys compare as the rank tuples do, and a proper prefix
+    # sorts first
+    __slots__ = ("symbols", "_symbol_set", "_order", "_key")
 
-    def __post_init__(self):
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]):
+        if not symbols:
             raise ValidationError("alphabet must contain at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValidationError(f"duplicate symbol in alphabet {''.join(self.symbols)!r}")
-        for c in self.symbols:
+        if len(set(symbols)) != len(symbols):
+            raise ValidationError(f"duplicate symbol in alphabet {''.join(symbols)!r}")
+        for c in symbols:
             if len(c) != 1:
                 raise ValidationError(f"alphabet symbol {c!r} is not a single character")
             if c not in SYMBOL_UNIVERSE:
@@ -69,9 +102,11 @@ class Alphabet:
                 # makes bad CLI input fail loudly instead of being inferred
                 # into an ad-hoc alphabet
                 raise ValidationError(f"symbol {c!r} is outside the a-z universe")
-        object.__setattr__(self, "_symbol_set", frozenset(self.symbols))
-        table = {ord(c): chr(i) for i, c in enumerate(self.symbols)}
-        object.__setattr__(self, "_order", operator.methodcaller("translate", table))
+        _set(self, "symbols", symbols)
+        _set(self, "_key", (symbols,))
+        _set(self, "_symbol_set", frozenset(symbols))
+        table = {ord(c): chr(i) for i, c in enumerate(symbols)}
+        _set(self, "_order", operator.methodcaller("translate", table))
 
     @property
     def size(self) -> int:
@@ -115,22 +150,21 @@ def require_alphabet(value) -> Alphabet:
     return value
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """A finite character sequence over a fixed alphabet (may be empty)."""
 
-    text: str
-    alphabet: Alphabet
+    __slots__ = ("text", "alphabet", "_key")
 
-    def __post_init__(self):
-        require_alphabet(self.alphabet)
-        if self.alphabet._symbol_set.issuperset(self.text):
-            return
-        for c in self.text:  # only to name the first bad character
-            if c not in self.alphabet:
-                raise ValidationError(
-                    f"character {c!r} of {self.text!r} is not in alphabet {self.alphabet.spec()!r}"
-                )
+    def __init__(self, text: str, alphabet: Alphabet):
+        require_alphabet(alphabet)
+        if not alphabet._symbol_set.issuperset(text):
+            c = next(c for c in text if c not in alphabet)
+            raise ValidationError(
+                f"character {c!r} of {text!r} is not in alphabet {alphabet.spec()!r}"
+            )
+        _set(self, "text", text)
+        _set(self, "alphabet", alphabet)
+        _set(self, "_key", (text, alphabet))
 
     def __len__(self) -> int:
         return len(self.text)
@@ -179,8 +213,7 @@ def require_same_alphabet(u: Word, v: Word) -> Alphabet:
     return u.alphabet
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(_Value):
     """One aligned column: a character or gap on top of a character or gap.
 
     Exactly one class applies: match (same character twice), mismatch
@@ -188,22 +221,23 @@ class Column:
     bottom). A column never holds two gaps.
     """
 
-    top: str | None
-    bottom: str | None
-    kind: str = field(init=False)
+    __slots__ = ("top", "bottom", "kind", "_key")
 
-    def __post_init__(self):
-        if self.top is None and self.bottom is None:
-            raise ValidationError("column with two gaps")
-        if self.top is None:
+    def __init__(self, top: str | None, bottom: str | None):
+        if top is None:
+            if bottom is None:
+                raise ValidationError("column with two gaps")
             kind = INSERTION
-        elif self.bottom is None:
+        elif bottom is None:
             kind = DELETION
-        elif self.top == self.bottom:
+        elif top == bottom:
             kind = MATCH
         else:
             kind = MISMATCH
-        object.__setattr__(self, "kind", kind)
+        _set(self, "top", top)
+        _set(self, "bottom", bottom)
+        _set(self, "kind", kind)
+        _set(self, "_key", (top, bottom))
 
     def render_top(self) -> str:
         return GAP if self.top is None else self.top
@@ -212,11 +246,14 @@ class Column:
         return GAP if self.bottom is None else self.bottom
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(_Value):
     """A two-row gapped array as a sequence of columns."""
 
-    columns: tuple[Column, ...]
+    __slots__ = ("columns", "_key")
+
+    def __init__(self, columns: tuple[Column, ...]):
+        _set(self, "columns", columns)
+        _set(self, "_key", (columns,))
 
     @property
     def cost(self) -> int:
@@ -238,29 +275,31 @@ class Alignment:
         return f"{top}\n{bottom}"
 
 
-@dataclass(frozen=True)
-class NeighborhoodResult:
+class NeighborhoodResult(_Value):
     """Outcome of a neighborhood enumeration or count.
 
     ``words`` is either ``None`` (count-only) or the canonically sorted
     member list, in which case ``count == len(words)``.
     """
 
-    query: Word
-    distance: int
-    kind: str
-    count: int
-    words: tuple[Word, ...] | None = None
+    __slots__ = ("query", "distance", "kind", "count", "words", "_key")
 
-    def __post_init__(self):
-        if self.kind not in NEIGHBORHOOD_KINDS:
-            raise ValidationError(f"unknown neighborhood kind {self.kind!r}")
-        if self.words is not None:
-            if self.count != len(self.words):
+    def __init__(self, query: Word, distance: int, kind: str, count: int,
+                 words: tuple[Word, ...] | None = None):
+        if kind not in NEIGHBORHOOD_KINDS:
+            raise ValidationError(f"unknown neighborhood kind {kind!r}")
+        if words is not None:
+            if count != len(words):
                 raise ValidationError("count disagrees with materialized word list")
             # each member in its own alphabet's order
-            keys = [w.alphabet._order(w.text) for w in self.words]
+            keys = [w.alphabet._order(w.text) for w in words]
             if not all(map(str.__lt__, keys, keys[1:])):
                 raise ValidationError("word list is not strictly increasing in canonical order")
-            if max(map(len, keys), default=0) > len(self.query) + self.distance:
+            if max(map(len, keys), default=0) > len(query) + distance:
                 raise ValidationError("member longer than |query| + d")
+        _set(self, "query", query)
+        _set(self, "distance", distance)
+        _set(self, "kind", kind)
+        _set(self, "count", count)
+        _set(self, "words", words)
+        _set(self, "_key", (query, distance, kind, count, words))

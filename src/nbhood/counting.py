@@ -266,14 +266,24 @@ def _binomial_pair_bound(w: int, d: int) -> LemmaCheck:
 
 
 def _relaxed_layouts(w: int, d: int) -> tuple[int, ...]:
-    """The relaxed layout count C(w, x) Sum_j C(w-x-1, j) C(w+d-x-2j-1, d-x-j), x = 0..d."""
-    return tuple(
-        binom_ext(w, x) * sum(
-            binom_ext(w - x - 1, j) * binom_ext(w + d - x - 2 * j - 1, d - x - j)
-            for j in range(d - x + 1)
-        )
-        for x in range(d + 1)
-    )
+    """The relaxed layout count C(w, x) Sum_j C(w-x-1, j) C(w+d-x-2j-1, d-x-j), x = 0..d.
+
+    Empty unless d < w, the only range whose checks read it. Within a sum
+    both binomials step from the ones before them, and every division is
+    exact: C(N, R) -> C(N-1, R-1) -> C(N-2, R-1), with N - R = w - j - 1 >= 1.
+    """
+    if d >= w:
+        return ()
+    layouts = []
+    for x in range(d + 1):
+        total, pick, wide = 0, 1, comb(w + d - x - 1, d - x)  # the binomials at j = 0
+        for j in range(d - x):
+            total += pick * wide
+            n, r = w + d - x - 2 * j - 1, d - x - j
+            pick = pick * (w - x - 1 - j) // (j + 1)
+            wide = wide * r // n * (n - r) // (n - 1)
+        layouts.append(comb(w, x) * (total + pick * wide))
+    return tuple(layouts)
 
 
 def _gap_layout_bound(w: int, d: int, layouts: tuple[int, ...]) -> LemmaCheck:

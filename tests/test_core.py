@@ -1,4 +1,6 @@
 """Domain types: alphabets, words, alignment columns, result records."""
+import copy
+import pickle
 import re
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from nbhood import (
     DELETION,
     INSERTION,
+    KIND_CONDENSED,
     KIND_FULL,
     MATCH,
     MISMATCH,
@@ -179,3 +182,104 @@ def test_result_order_check_is_the_rank_tuple_order(texts):
     else:
         with pytest.raises(ValidationError, match="not strictly increasing"):
             _listing(q, texts, ba)
+
+
+def _ab(text):
+    return make_word(text, make_alphabet("ab"))
+
+
+# per class: a builder of fresh equal values, values that differ from it in
+# one constructor argument each, the repr a frozen dataclass printed, and
+# the fields
+VALUES = {
+    "Alphabet": (
+        lambda: make_alphabet("ab"),
+        [make_alphabet("ba")],
+        "Alphabet(symbols=('a', 'b'))",
+        ["symbols", "_symbol_set", "_order"],
+    ),
+    "Word": (
+        lambda: _ab("ab"),
+        [_ab("ba"), make_word("ab", make_alphabet("abc"))],
+        "Word(text='ab', alphabet=Alphabet(symbols=('a', 'b')))",
+        ["text", "alphabet"],
+    ),
+    "Column": (
+        lambda: Column("a", None),
+        [Column("b", None), Column("a", "a")],
+        "Column(top='a', bottom=None, kind='deletion')",
+        ["top", "bottom", "kind"],
+    ),
+    "Alignment": (
+        lambda: Alignment((Column("a", "a"), Column(None, "b"))),
+        [Alignment((Column("a", "a"),))],
+        "Alignment(columns=(Column(top='a', bottom='a', kind='match'), "
+        "Column(top=None, bottom='b', kind='insertion')))",
+        ["columns"],
+    ),
+    "NeighborhoodResult": (
+        lambda: NeighborhoodResult(_ab("a"), 1, KIND_CONDENSED, 2, (_ab("a"), _ab("b"))),
+        [
+            NeighborhoodResult(_ab("b"), 1, KIND_CONDENSED, 2, (_ab("a"), _ab("b"))),
+            NeighborhoodResult(_ab("a"), 2, KIND_CONDENSED, 2, (_ab("a"), _ab("b"))),
+            NeighborhoodResult(_ab("a"), 1, KIND_FULL, 2, (_ab("a"), _ab("b"))),
+            NeighborhoodResult(_ab("a"), 1, KIND_CONDENSED, 2),
+            NeighborhoodResult(_ab("a"), 1, KIND_CONDENSED, 3),
+        ],
+        "NeighborhoodResult(query=Word(text='a', alphabet=Alphabet(symbols=('a', 'b'))), "
+        "distance=1, kind='condensed', count=2, "
+        "words=(Word(text='a', alphabet=Alphabet(symbols=('a', 'b'))), "
+        "Word(text='b', alphabet=Alphabet(symbols=('a', 'b')))))",
+        ["query", "distance", "kind", "count", "words"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_repr_is_the_dataclass_repr(name):
+    build, _, text, _ = VALUES[name]
+    assert repr(build()) == text
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_equality_is_by_class_and_fields(name):
+    build, others, _, fields = VALUES[name]
+    value, twin = build(), build()
+    assert value is not twin
+    assert value == twin and not value != twin
+    for other in others:
+        assert value != other and not value == other
+    for foreign in (tuple(getattr(value, f) for f in fields), "ab", None):
+        assert value != foreign and not value == foreign
+        assert value.__eq__(foreign) is NotImplemented
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_equal_values_hash_equal_and_collapse_in_a_set(name):
+    build, others, _, _ = VALUES[name]
+    assert hash(build()) == hash(build())
+    assert len({build(), build(), *others}) == 1 + len(others)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_fields_cannot_be_assigned_or_deleted(name):
+    build, _, _, fields = VALUES[name]
+    value = build()
+    for field in [*fields, "no_such_field"]:
+        with pytest.raises(AttributeError, match=f"'{field}'"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"'{field}'"):
+            delattr(value, field)
+    assert value == build()
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_pickle_and_deepcopy_round_trip(name):
+    build, _, text, fields = VALUES[name]
+    value = build()
+    for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert back == value and repr(back) == text
+        # methodcaller objects compare by identity, so _order is checked on a text
+        assert all(getattr(back, f) == getattr(value, f) for f in fields if f != "_order")
+        if name == "Alphabet":
+            assert back._order("ba") == "\x01\x00"

@@ -285,6 +285,20 @@ def _ref_chain_dominance(w, d, s, layouts):
     return LemmaCheck("chain_dominance", ((w, d, s),), () if ok else ((w, d, s),))
 
 
+def test_stepped_layout_counts_match_their_binomial_sums():
+    for w in range(40):
+        for d in range(w):
+            direct = tuple(
+                binom_ext(w, x) * sum(
+                    binom_ext(w - x - 1, j) * binom_ext(w + d - x - 2 * j - 1, d - x - j)
+                    for j in range(d - x + 1)
+                )
+                for x in range(d + 1)
+            )
+            assert counting._relaxed_layouts(w, d) == direct, (w, d)
+        assert counting._relaxed_layouts(w, w) == ()
+
+
 def test_integer_lemma_checks_match_their_rational_statements():
     # far outside the lemmas' hypotheses too, where about half the checks
     # fail: no verdict may flip, even where 2w - d + 3 < 0

@@ -11,8 +11,12 @@ import nbhood
 
 SRC = str(Path(nbhood.__file__).parents[1])
 
-# the modules only some subcommands need, and the stdlib ones they bring
-DEFERRED = ("nbhood.counting", "nbhood.extremal", "nbhood.verify", "fractions", "json")
+# the modules only some subcommands need, and the stdlib ones they bring;
+# core's values are plain classes, so dataclasses (and its inspect) wait too
+DEFERRED = (
+    "nbhood.counting", "nbhood.extremal", "nbhood.verify", "fractions", "json",
+    "dataclasses", "inspect",
+)
 
 
 def _fresh(code: str) -> str:
